@@ -85,6 +85,12 @@ class LispTypeError(EvalError):
     kind = "type"
 
 
+class RecursionDepthError(EvalError):
+    """Evaluation recursed deeper than the Python stack allows."""
+
+    kind = "depth"
+
+
 class ConfigError(PhasorError):
     """Invalid configuration value."""
 

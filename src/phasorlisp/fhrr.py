@@ -25,6 +25,7 @@ __all__ = [
     "superpose",
     "normalize",
     "similarity",
+    "similarities",
     "phase_angles",
 ]
 
@@ -107,6 +108,15 @@ def similarity(u: np.ndarray, v: np.ndarray) -> float:
     """
     _check_dims(u, v)
     return float(np.vdot(u, v).real / u.shape[0])
+
+
+def similarities(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Similarity of ``v`` to every row of ``matrix``, as one product.
+
+    Conjugating the probe instead of the matrix gives the same real part
+    (Re(conj(a)*b) == Re(a*conj(b)) exactly) without copying the matrix.
+    """
+    return (matrix @ v.conj()).real / matrix.shape[1]
 
 
 def phase_angles(v: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ are similarity tests against the threshold theta.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -31,6 +31,7 @@ from .errors import (
     MemoryEmptyError,
     NoMatchError,
     NotApplicableError,
+    RecursionDepthError,
     SessionIOError,
     UnboundSymbolError,
 )
@@ -38,19 +39,23 @@ from .fhrr import bind, new_rng, normalize, random_symbol, similarity, unbind
 from .memory import CleanupMemory, Environment
 from .reader import Atom, IntLiteral, ListExpr, SExpr, parse_program
 from .residue import (
-    CODEBOOK_MAGIC,
     ModuliSet,
     ResidueCodebook,
     add_bind,
     decode_residue,
+    encode_residue,
     load_codebook,
     make_codebook,
     mod_inverse,
     mul_bind,
+    nearest_code,
+    read_exact,
+    read_vector,
     save_codebook,
+    write_vector,
 )
 
-__all__ = ["Config", "EncodedValue", "Resolved", "Session", "SPECIAL_FORMS", "PRIMITIVES"]
+__all__ = ["Config", "Resolved", "Session", "SPECIAL_FORMS", "PRIMITIVES"]
 
 SPECIAL_FORMS = ("quote", "cond", "lambda", "define")
 
@@ -116,18 +121,6 @@ class Resolved:
     vector: np.ndarray
 
 
-@dataclass(frozen=True)
-class EncodedValue:
-    """Public value wrapper: the vector plus a diagnostic kind hint."""
-
-    vector: np.ndarray
-    hint: str = "symbol"
-
-
-def _raw(v: "EncodedValue | np.ndarray") -> np.ndarray:
-    return v.vector if isinstance(v, EncodedValue) else v
-
-
 class Session:
     """One interpreter world: codebook, memory, environments, evaluator.
 
@@ -139,19 +132,28 @@ class Session:
     """
 
     def __init__(self, config: Config | None = None) -> None:
-        self.config = config if config is not None else Config()
-        self.moduli = ModuliSet(self.config.moduli)
-        self.rng = new_rng(self.config.seed)
-        self.codebook = make_codebook(self.moduli, self.config.dim, self.rng)
-        self.memory = CleanupMemory(self.config.dim, floor=self.config.floor)
+        config = config if config is not None else Config()
+        rng = new_rng(config.seed)
+        codebook = make_codebook(ModuliSet(config.moduli), config.dim, rng)
+        self._setup(config, codebook, rng)
+        self._bootstrap()
+
+    # -- construction ---------------------------------------------------
+
+    def _setup(
+        self, config: Config, codebook: ResidueCodebook, rng: np.random.Generator
+    ) -> None:
+        """Fields shared by a fresh and a restored session, memory empty."""
+        self.config = config
+        self.moduli = codebook.moduli
+        self.rng = rng
+        self.codebook = codebook
+        self.memory = CleanupMemory(config.dim, floor=config.floor)
         self.environments: dict[str, Environment] = {}
         self.display_raw = False
         self._cell_n = 0
         self._closure_n = 0
         self._env_n = 0
-        self._bootstrap()
-
-    # -- construction ---------------------------------------------------
 
     def _bootstrap(self) -> None:
         dim = self.config.dim
@@ -160,7 +162,7 @@ class Session:
             self.memory.add(name, random_symbol(self.rng, dim))
         for name in _ROLE_NAMES + _TAG_NAMES:
             self.memory.add(name, random_symbol(self.rng, dim), kind="role")
-        self.global_env = Environment(dim)
+        self.global_env = Environment()
         self._register_env(self.global_env)
 
     def _register_env(self, env: Environment) -> str:
@@ -195,20 +197,14 @@ class Session:
 
     def encode_int(self, x: int) -> np.ndarray:
         """Residue code of x with the integer type tag superposed."""
-        from .residue import encode_residue
-
         return encode_residue(self.codebook, x) + self.int_tag
 
-    def cons(
-        self,
-        head: "EncodedValue | np.ndarray",
-        tail: "EncodedValue | np.ndarray",
-    ) -> np.ndarray:
+    def cons(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
         """Store a pair chunk and return its fresh pointer symbol."""
         composite = (
             self._role("#cons")
-            + bind(self._role("#head"), _raw(head))
-            + bind(self._role("#tail"), _raw(tail))
+            + bind(self._role("#head"), head)
+            + bind(self._role("#tail"), tail)
         )
         name = f"cell-{self._cell_n}"
         self._cell_n += 1
@@ -216,7 +212,8 @@ class Session:
         self.memory.add_chunk(name, pointer, composite)
         return pointer
 
-    def _encode_data(self, expr: SExpr) -> np.ndarray:
+    def encode(self, expr: SExpr) -> np.ndarray:
+        """Encode an AST as data: the vector form quote would return."""
         if isinstance(expr, IntLiteral):
             return self.encode_int(expr.value)
         if isinstance(expr, Atom):
@@ -224,49 +221,13 @@ class Session:
         if isinstance(expr, ListExpr):
             v = self.symbol("nil")
             for item in reversed(expr.items):
-                v = self.cons(self._encode_data(item), v)
+                v = self.cons(self.encode(item), v)
             return v
         raise EvalError(f"cannot encode {expr!r}")
 
-    def encode(self, expr: SExpr) -> EncodedValue:
-        """Encode an AST as data: the vector form quote would return."""
-        v = self._encode_data(expr)
-        return EncodedValue(v, self._kind_hint(v))
-
-    def _kind_hint(self, v: np.ndarray) -> str:
-        r = self._classify(v)
-        if r.kind == "int":
-            return "integer"
-        if r.kind == "bool":
-            return "boolean"
-        if r.kind == "pointer":
-            chunk = self.memory.chunk(r.name)
-            if similarity(chunk, self._role("#lambda")) > self.config.theta:
-                return "closure"
-            return "cons"
-        if r.kind == "nil":
-            return "nil"
-        return "symbol"
-
     # -- recovery -------------------------------------------------------
 
-    def _classify(self, v: np.ndarray) -> Resolved:
-        """Like resolve, but never decodes the integer value."""
-        if similarity(v, self.int_tag) > self.config.theta:
-            return Resolved("int", None, None, v)
-        try:
-            hit = self.memory.recall(v)
-        except (MemoryEmptyError, NoMatchError):
-            return Resolved("unknown", None, None, v)
-        kind = hit.kind
-        if kind == "symbol":
-            if hit.name in ("t", "f"):
-                kind = "bool"
-            elif hit.name == "nil":
-                kind = "nil"
-        return Resolved(kind, hit.name, None, hit.vector)
-
-    def resolve(self, v: "EncodedValue | np.ndarray") -> Resolved:
+    def resolve(self, v: np.ndarray) -> Resolved:
         """Snap a possibly noisy vector to its exact known form.
 
         Integer-tagged vectors are decoded and re-encoded, so one cleanup
@@ -274,9 +235,7 @@ class Session:
         that fails to decode falls through to symbol recall; a vector
         matching nothing is returned as kind ``unknown``.
         """
-        v = _raw(v)
-        s = similarity(v, self.int_tag)
-        if s > self.config.theta:
+        if similarity(v, self.int_tag) > self.config.theta:
             try:
                 x = decode_residue(
                     self.codebook,
@@ -325,10 +284,18 @@ class Session:
 
     # -- evaluation -----------------------------------------------------
 
-    def eval_expr(self, expr: SExpr) -> EncodedValue:
-        """Encode and evaluate one top-level form in the global scope."""
-        v = self.eval_vec(self._encode_data(expr), self.global_env)
-        return EncodedValue(v, self._kind_hint(v))
+    def eval_expr(self, expr: SExpr) -> np.ndarray:
+        """Encode and evaluate one top-level form in the global scope.
+
+        Evaluation recurses on the Python stack, so a program nested or
+        recursing too deeply raises ``RecursionDepthError``.
+        """
+        try:
+            return self.eval_vec(self.encode(expr), self.global_env)
+        except RecursionError:
+            raise RecursionDepthError(
+                "evaluation nested too deeply for the Python stack"
+            ) from None
 
     def eval_source(self, source: str) -> Iterator[str]:
         """Evaluate every form in ``source``, yielding printed results."""
@@ -445,11 +412,7 @@ class Session:
         self.memory.add_chunk(name, pointer, composite)
         return pointer
 
-    def apply(
-        self,
-        operator: "EncodedValue | np.ndarray",
-        args: list[np.ndarray],
-    ) -> np.ndarray:
+    def apply(self, operator: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
         """Apply a closure value to already-evaluated arguments."""
         r = self.resolve(operator)
         if r.kind == "pointer":
@@ -530,41 +493,36 @@ class Session:
             raise LispTypeError(f"{who} expects a pair")
         return self._unbind_role(chunk, role).vector
 
-    def car(self, v: "EncodedValue | np.ndarray") -> np.ndarray:
-        return self._select(_raw(v), "#head", "car")
+    def car(self, v: np.ndarray) -> np.ndarray:
+        return self._select(v, "#head", "car")
 
-    def cdr(self, v: "EncodedValue | np.ndarray") -> np.ndarray:
-        return self._select(_raw(v), "#tail", "cdr")
+    def cdr(self, v: np.ndarray) -> np.ndarray:
+        return self._select(v, "#tail", "cdr")
 
-    def is_nil(self, v: "EncodedValue | np.ndarray") -> bool:
+    def is_nil(self, v: np.ndarray) -> bool:
         return self.resolve(v).kind == "nil"
 
-    def force_decode(self, v: "EncodedValue | np.ndarray") -> tuple[int, float]:
+    def force_decode(self, v: np.ndarray) -> tuple[int, float]:
         """Best integer reading of a vector and its confidence.
 
         Ignores the type tag test and the confidence floor; meant for
         inspecting values that print as something other than an integer.
         """
-        stripped = _raw(v) - self.int_tag
-        sims = (self.codebook.candidates().conj() @ stripped).real / self.config.dim
-        x = int(np.argmax(sims))
-        return x, float(sims[x])
+        return nearest_code(self.codebook, v - self.int_tag)
 
-    def prim_int_test(self, v: "EncodedValue | np.ndarray") -> np.ndarray:
+    def prim_int_test(self, v: np.ndarray) -> np.ndarray:
         """Integer discriminator over similarity to the type tag.
 
         Superposes t weighted by sim(v, int) and f weighted by
         (2*theta - sim(v, int)), then cleans the blend up through memory;
         above-threshold similarity makes t dominate, anything else f.
         """
-        v = _raw(v)
         s = similarity(v, self.int_tag)
         blend = s * self.symbol("t") + (2.0 * self.config.theta - s) * self.symbol("f")
         return self.memory.recall(blend).vector
 
-    def _require_int(self, v: "EncodedValue | np.ndarray", who: str) -> np.ndarray:
+    def _require_int(self, v: np.ndarray, who: str) -> np.ndarray:
         """Strip the integer tag, renormalizing to restore phasor form."""
-        v = _raw(v)
         if similarity(v, self.int_tag) <= self.config.theta:
             raise LispTypeError(f"{who} expects integer operands")
         return normalize(v - self.int_tag)
@@ -599,7 +557,7 @@ class Session:
         r = self.moduli.range
         return x if x < (r + 1) // 2 else x - r
 
-    def print_value(self, v: "EncodedValue | np.ndarray") -> str:
+    def print_value(self, v: np.ndarray) -> str:
         """Human-readable rendering of a value vector."""
         return self._format(self.resolve(v))
 
@@ -669,20 +627,15 @@ class Session:
                 entries.append(
                     (f"parent:{handle}:{parent}", self.memory.vector(parent))
                 )
-            for bname in env.frame.names():
-                entries.append(
-                    (f"bind:{handle}:{bname}", env.frame.vector(bname))
-                )
+            for bname, vec in env.frame.items():
+                entries.append((f"bind:{handle}:{bname}", vec))
         save_codebook(self.codebook, dest)
         dest.write(struct.pack("<I", len(entries)))
         for name, vec in entries:
             raw = name.encode("utf-8")
             dest.write(struct.pack("<I", len(raw)))
             dest.write(raw)
-            buf = np.empty(2 * self.config.dim, dtype="<f8")
-            buf[0::2] = vec.real
-            buf[1::2] = vec.imag
-            dest.write(buf.tobytes())
+            write_vector(dest, vec)
 
     @classmethod
     def restore(
@@ -700,58 +653,49 @@ class Session:
                 return cls.restore(fh, config)
         codebook = load_codebook(src)
         base = config if config is not None else Config()
-        cfg = replace(
-            base, dim=codebook.dim, moduli=tuple(codebook.moduli)
-        )
+        cfg = replace(base, dim=codebook.dim, moduli=tuple(codebook.moduli))
+        (count,) = struct.unpack("<I", read_exact(src, 4))
         sess = cls.__new__(cls)
-        sess.config = cfg
-        sess.moduli = codebook.moduli
-        sess.codebook = codebook
-        sess.memory = CleanupMemory(cfg.dim, floor=cfg.floor)
-        sess.environments = {}
-        sess.display_raw = False
-        sess._cell_n = 0
-        sess._closure_n = 0
-        sess._env_n = 0
-        (count,) = struct.unpack("<I", src.read(4))
+        sess._setup(cfg, codebook, np.random.default_rng((cfg.seed, count)))
         chunks: list[tuple[str, np.ndarray]] = []
         parents: list[tuple[str, str]] = []
         binds: list[tuple[str, str, np.ndarray]] = []
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", src.read(4))
-            name = src.read(name_len).decode("utf-8")
-            raw = np.frombuffer(src.read(16 * cfg.dim), dtype="<f8")
-            if raw.size != 2 * cfg.dim:
-                raise SessionIOError("truncated session payload")
-            vec = np.array(raw[0::2] + 1j * raw[1::2])
-            prefix, _, rest = name.partition(":")
-            if prefix in ("symbol", "pointer", "role", "env"):
-                sess.memory.add(rest, vec, kind=prefix)
-                sess._note_counter(rest)
-            elif prefix == "chunk":
-                chunks.append((rest, vec))
-            elif prefix == "parent":
-                handle, _, parent = rest.partition(":")
-                parents.append((handle, parent))
-            elif prefix == "bind":
-                handle, _, bname = rest.partition(":")
-                binds.append((handle, bname, vec))
-            else:
-                raise SessionIOError(f"unknown session entry {name!r}")
-        for name, composite in chunks:
-            sess.memory.attach_chunk(name, composite)
-        for handle in sess.memory.names(kind="env"):
-            env = Environment(cfg.dim)
-            env.handle = handle
-            sess.environments[handle] = env
-        for handle, parent in parents:
-            sess.environments[handle].parent = sess.environments[parent]
-        for handle, bname, vec in binds:
-            sess.environments[handle].frame.add(bname, vec, replace=True)
+        try:
+            for _ in range(count):
+                (name_len,) = struct.unpack("<I", read_exact(src, 4))
+                name = read_exact(src, name_len).decode("utf-8")
+                vec = read_vector(src, cfg.dim)
+                prefix, _, rest = name.partition(":")
+                if prefix in ("symbol", "pointer", "role", "env"):
+                    sess.memory.add(rest, vec, kind=prefix)
+                    sess._note_counter(rest)
+                elif prefix == "chunk":
+                    chunks.append((rest, vec))
+                elif prefix == "parent":
+                    handle, _, parent = rest.partition(":")
+                    parents.append((handle, parent))
+                elif prefix == "bind":
+                    handle, _, bname = rest.partition(":")
+                    binds.append((handle, bname, vec))
+                else:
+                    raise SessionIOError(f"unknown session entry {name!r}")
+            for name, composite in chunks:
+                sess.memory.attach_chunk(name, composite)
+            for handle in sess.memory.names(kind="env"):
+                env = Environment()
+                env.handle = handle
+                sess.environments[handle] = env
+            for handle, parent in parents:
+                sess.environments[handle].parent = sess.environments[parent]
+            for handle, bname, vec in binds:
+                sess.environments[handle].define(bname, vec)
+        except (KeyError, ValueError) as exc:
+            # a name that is not UTF-8 (a ValueError), is stored twice, or
+            # refers to an entry the file does not hold
+            raise SessionIOError(f"malformed session entry: {exc}") from None
         if "env-0" not in sess.environments:
             raise SessionIOError("session file lacks the global scope")
         sess.global_env = sess.environments["env-0"]
-        sess.rng = np.random.default_rng((cfg.seed, count))
         return sess
 
     def _note_counter(self, name: str) -> None:

@@ -2,9 +2,10 @@
 
 A ``CleanupMemory`` stores named unit-phasor vectors and answers nearest
 neighbour queries under the real-part similarity kernel.  Entries carry a
-kind: plain symbols, or pointers that name a stored composite chunk.
-Dereferencing a pointer returns its chunk for unbinding.  Lexical scopes
-are stacks of these memories linked by parent pointers.
+kind: plain symbols, or pointers that name a stored composite chunk,
+which ``chunk`` returns for unbinding.  Lexical scopes are chains of
+plain name -> vector dicts linked by parent pointers; they are only ever
+read by name, so they need no cleanup memory of their own.
 """
 
 from __future__ import annotations
@@ -14,17 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DanglingPointerError,
     DimensionError,
     MemoryEmptyError,
     NoMatchError,
     UnboundSymbolError,
 )
+from .fhrr import similarities
 
 __all__ = ["RecallResult", "CleanupMemory", "Environment"]
 
-#: Default similarity floor for recall and deref.  Matches the decoding
-#: floor: random phasors score O(1/sqrt(dim)), far below 0.1 at dim=1000.
+#: Default similarity floor for recall.  Matches the decoding floor:
+#: random phasors score O(1/sqrt(dim)), far below 0.1 at dim=1000.
 RECALL_FLOOR = 0.1
 
 
@@ -55,9 +56,6 @@ class _VectorTable:
         self._rows += 1
         return self._rows - 1
 
-    def replace(self, row: int, v: np.ndarray) -> None:
-        self._data[row] = v
-
 
 @dataclass(frozen=True)
 class RecallResult:
@@ -72,9 +70,9 @@ class RecallResult:
 class CleanupMemory:
     """Named phasor vectors with nearest neighbour recall.
 
-    Entries are unique by name.  Pointer entries additionally carry a
-    composite chunk vector, retrieved by ``deref``.  Recall and deref
-    counts are tracked so benchmarks can report memory traffic.
+    Entries are unique by name and never rewritten.  Pointer entries
+    additionally carry a composite chunk vector, retrieved by ``chunk``.
+    Recalls are counted so benchmarks can report memory traffic.
     """
 
     def __init__(self, dim: int, floor: float = RECALL_FLOOR) -> None:
@@ -83,7 +81,6 @@ class CleanupMemory:
         self.dim = dim
         self.floor = floor
         self.recalls = 0
-        self.derefs = 0
         self._table = _VectorTable(dim)
         self._names: list[str] = []
         self._kinds: list[str] = []
@@ -107,37 +104,20 @@ class CleanupMemory:
 
     def chunk(self, name: str) -> np.ndarray:
         """Stored composite for pointer ``name``; KeyError if absent."""
-        composite = self._chunks[name]
-        self.derefs += 1
-        return composite
+        return self._chunks[name]
 
     def kind(self, name: str) -> str:
         """Stored kind for ``name``; KeyError if absent."""
         return self._kinds[self._index[name]]
 
-    def add(
-        self,
-        name: str,
-        v: np.ndarray,
-        kind: str = "symbol",
-        replace: bool = False,
-    ) -> None:
-        """Store ``v`` under ``name``.
-
-        Duplicate names are rejected unless ``replace`` is set, in which
-        case the row is overwritten in place.
-        """
+    def add(self, name: str, v: np.ndarray, kind: str = "symbol") -> None:
+        """Store ``v`` under ``name``; a duplicate name raises ValueError."""
         if v.shape[0] != self.dim:
             raise DimensionError(
                 f"vector dimension {v.shape[0]} != memory dimension {self.dim}"
             )
-        row = self._index.get(name)
-        if row is not None:
-            if not replace:
-                raise ValueError(f"entry {name!r} already stored")
-            self._table.replace(row, v)
-            self._kinds[row] = kind
-            return
+        if name in self._index:
+            raise ValueError(f"entry {name!r} already stored")
         row = self._table.append(v)
         self._names.append(name)
         self._kinds.append(kind)
@@ -158,16 +138,11 @@ class CleanupMemory:
             raise ValueError(f"entry {name!r} is not a pointer")
         self._chunks[name] = composite
 
-    def recall(
-        self,
-        v: np.ndarray,
-        kind: str | None = None,
-        floor: float | None = None,
-    ) -> RecallResult:
-        """Best entry for ``v``, optionally restricted to one kind.
+    def recall(self, v: np.ndarray, floor: float | None = None) -> RecallResult:
+        """Best entry for ``v``.
 
-        Raises ``MemoryEmptyError`` when nothing is stored (of that kind)
-        and ``NoMatchError`` when the best similarity is below the floor.
+        Raises ``MemoryEmptyError`` when nothing is stored and
+        ``NoMatchError`` when the best similarity is below the floor.
         """
         if v.shape[0] != self.dim:
             raise DimensionError(
@@ -176,15 +151,10 @@ class CleanupMemory:
         self.recalls += 1
         if floor is None:
             floor = self.floor
-        matrix = self._table.matrix
-        sims = (matrix.conj() @ v).real / self.dim
-        if kind is not None:
-            mask = np.array([k == kind for k in self._kinds], dtype=bool)
-            if not mask.any():
-                raise MemoryEmptyError(f"no {kind} entries stored")
-            sims = np.where(mask, sims, -np.inf)
-        elif len(self._names) == 0:
+        if not self._names:
             raise MemoryEmptyError("memory is empty")
+        matrix = self._table.matrix
+        sims = similarities(matrix, v)
         best = int(np.argmax(sims))
         score = float(sims[best])
         if score < floor:
@@ -199,76 +169,47 @@ class CleanupMemory:
             kind=self._kinds[best],
         )
 
-    def deref(self, v: np.ndarray, floor: float | None = None) -> tuple[str, np.ndarray]:
-        """Resolve a pointer vector to its stored chunk.
-
-        Returns ``(name, composite)``.  A vector that matches no stored
-        pointer above the floor raises ``DanglingPointerError``.
-        """
-        self.derefs += 1
-        try:
-            hit = self.recall(v, kind="pointer", floor=floor)
-        except (MemoryEmptyError, NoMatchError) as exc:
-            raise DanglingPointerError(
-                f"vector resolves to no stored chunk: {exc}"
-            ) from exc
-        # recall already bumped its own counter; keep both numbers honest
-        self.recalls -= 1
-        if hit.name not in self._chunks:
-            raise DanglingPointerError(
-                f"pointer {hit.name!r} has no chunk attached"
-            )
-        return hit.name, self._chunks[hit.name]
-
     def stats(self) -> dict[str, int]:
         return {
             "entries": len(self._names),
             "chunks": len(self._chunks),
             "recalls": self.recalls,
-            "derefs": self.derefs,
         }
 
 
 class Environment:
     """Chain of binding frames, innermost first.
 
-    Each frame is its own ``CleanupMemory`` holding name -> value vectors.
-    Lookup walks outward; define always writes the innermost frame, and
-    redefinition in the same frame replaces the binding.
+    Each frame is a dict from name to value vector.  Lookup walks
+    outward; define always writes the innermost frame, and redefinition
+    in the same frame replaces the binding in place.
     """
 
-    def __init__(self, dim: int, parent: "Environment | None" = None) -> None:
-        self.frame = CleanupMemory(dim)
+    def __init__(self, parent: "Environment | None" = None) -> None:
+        self.frame: dict[str, np.ndarray] = {}
         self.parent = parent
         # name of the handle symbol minted for this scope, once one exists
         self.handle: str | None = None
 
     def define(self, name: str, v: np.ndarray) -> None:
-        self.frame.add(name, v, replace=True)
+        self.frame[name] = v
 
     def lookup(self, name: str) -> np.ndarray:
         env: Environment | None = self
         while env is not None:
             if name in env.frame:
-                return env.frame.vector(name)
+                return env.frame[name]
             env = env.parent
         raise UnboundSymbolError(f"symbol {name!r} is not bound")
 
-    def child(self, dim: int | None = None) -> "Environment":
-        return Environment(dim if dim is not None else self.frame.dim, parent=self)
-
-    def frames(self) -> list[CleanupMemory]:
-        out = []
-        env: Environment | None = self
-        while env is not None:
-            out.append(env.frame)
-            env = env.parent
-        return out
+    def child(self) -> "Environment":
+        return Environment(parent=self)
 
     def bound_names(self) -> list[str]:
         """Visible names, innermost shadowing outermost, insertion order."""
         seen: dict[str, None] = {}
-        for frame in self.frames():
-            for name in frame.names():
-                seen.setdefault(name, None)
+        env: Environment | None = self
+        while env is not None:
+            seen.update(dict.fromkeys(env.frame))
+            env = env.parent
         return list(seen)

@@ -31,7 +31,7 @@ from .errors import (
     NoInverseError,
     SessionIOError,
 )
-from .fhrr import phase_angles, random_symbol
+from .fhrr import bind, phase_angles, random_symbol, similarities
 from .resonator import FactorCodebook, factorize
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "mul_bind",
     "mod_inverse",
     "decode_residue",
+    "nearest_code",
     "crt_reconstruct",
     "save_codebook",
     "load_codebook",
@@ -96,18 +97,17 @@ class ModuliSet:
 class ResidueCodebook:
     """Per-modulus phase tables and base vectors for integer codes.
 
-    ``phases[i]`` holds dim angles, each an exact multiple of 2*pi/m_i;
-    ``bases[i] = exp(1j * phases[i])``.  ``tag`` is the atomic symbol
-    superposed onto encoded integers by the interpreter to mark their type.
-    Codebooks are immutable after construction and safe to share.
+    ``phases[i]`` holds dim angles, each an exact multiple of 2*pi/m_i,
+    so ``exp(1j * phases[i])`` is the base vector of modulus ``m_i``.
+    ``tag`` is the atomic symbol superposed onto encoded integers by the
+    interpreter to mark their type.  Codebooks are immutable after
+    construction and safe to share.
     """
 
     moduli: ModuliSet
     dim: int
     phases: np.ndarray
-    bases: np.ndarray
     tag: np.ndarray
-    seed: int | None = None
     _phase_sum: np.ndarray = field(init=False, repr=False)
     _candidates: np.ndarray | None = field(init=False, repr=False, default=None)
     _factor_books: list[FactorCodebook] | None = field(
@@ -151,11 +151,8 @@ def make_codebook(
     for i, m in enumerate(moduli):
         ks = rng.integers(1, m + 1, size=dim)
         phases[i] = 2.0 * np.pi * ks / m
-    bases = np.exp(1j * phases)
     tag = random_symbol(rng, dim)
-    return ResidueCodebook(
-        moduli=moduli, dim=dim, phases=phases, bases=bases, tag=tag
-    )
+    return ResidueCodebook(moduli=moduli, dim=dim, phases=phases, tag=tag)
 
 
 def encode_residue(cb: ResidueCodebook, x: int) -> np.ndarray:
@@ -167,13 +164,8 @@ def encode_residue(cb: ResidueCodebook, x: int) -> np.ndarray:
     return np.exp(1j * (int(x) * cb._phase_sum))
 
 
-def add_bind(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Carry-free addition: code(a) * code(b) == code(a + b mod range)."""
-    if u.shape != v.shape:
-        raise DimensionError(
-            f"operands have dimensions {u.shape[0]} and {v.shape[0]}"
-        )
-    return u * v
+#: Carry-free addition is binding: code(a) * code(b) == code(a + b mod range).
+add_bind = bind
 
 
 def negate(v: np.ndarray) -> np.ndarray:
@@ -182,6 +174,13 @@ def negate(v: np.ndarray) -> np.ndarray:
 
 
 RESONATOR_RESTARTS = 10
+
+
+def nearest_code(cb: ResidueCodebook, v: np.ndarray) -> tuple[int, float]:
+    """Scan every code: the best-matching integer and its similarity."""
+    sims = similarities(cb.candidates(), v)
+    x = int(np.argmax(sims))
+    return x, float(sims[x])
 
 
 def decode_residue(
@@ -210,9 +209,7 @@ def decode_residue(
             f"vector dimension {v.shape[0]} != codebook dimension {cb.dim}"
         )
     if method == "exhaustive":
-        sims = (cb.candidates().conj() @ v).real / cb.dim
-        x = int(np.argmax(sims))
-        best = float(sims[x])
+        x, best = nearest_code(cb, v)
         if best < floor:
             raise DecodeError(
                 f"best integer match {best:.3f} is below the {floor} floor"
@@ -307,10 +304,39 @@ def save_codebook(cb: ResidueCodebook, dest: IO[bytes] | str | Path) -> None:
     dest.write(CODEBOOK_MAGIC)
     dest.write(struct.pack(f"<II{n}I", cb.dim, n, *cb.moduli))
     dest.write(np.ascontiguousarray(cb.phases, dtype="<f8").tobytes())
-    tag = np.empty(2 * cb.dim, dtype="<f8")
-    tag[0::2] = cb.tag.real
-    tag[1::2] = cb.tag.imag
-    dest.write(tag.tobytes())
+    write_vector(dest, cb.tag)
+
+
+def write_vector(dest: IO[bytes], v: np.ndarray) -> None:
+    """Write ``v`` as interleaved little-endian re/im float64."""
+    buf = np.empty(2 * v.shape[0], dtype="<f8")
+    buf[0::2] = v.real
+    buf[1::2] = v.imag
+    dest.write(buf.tobytes())
+
+
+#: Largest single read from a session stream.  Reading in bounded pieces
+#: means a corrupt length prefix can never allocate more than the stream
+#: actually holds.
+_READ_CHUNK = 1 << 20
+
+
+def read_exact(src: IO[bytes], n: int) -> bytes:
+    """Exactly ``n`` bytes from ``src``; a short read raises ``SessionIOError``."""
+    parts = []
+    while n > 0:
+        part = src.read(min(n, _READ_CHUNK))
+        if not part:
+            raise SessionIOError("truncated session file")
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
+
+
+def read_vector(src: IO[bytes], dim: int) -> np.ndarray:
+    """Read a vector written by ``write_vector``."""
+    raw = np.frombuffer(read_exact(src, 16 * dim), dtype="<f8")
+    return raw[0::2] + 1j * raw[1::2]
 
 
 def load_codebook(src: IO[bytes] | str | Path) -> ResidueCodebook:
@@ -318,21 +344,18 @@ def load_codebook(src: IO[bytes] | str | Path) -> ResidueCodebook:
     if isinstance(src, (str, Path)):
         with open(src, "rb") as fh:
             return load_codebook(fh)
-    magic = src.read(4)
+    magic = read_exact(src, 4)
     if magic != CODEBOOK_MAGIC:
         raise SessionIOError(f"bad codebook magic {magic!r}")
-    dim, n = struct.unpack("<II", src.read(8))
-    ms = struct.unpack(f"<{n}I", src.read(4 * n))
-    phases = np.frombuffer(src.read(8 * n * dim), dtype="<f8").reshape(n, dim)
-    raw = np.frombuffer(src.read(16 * dim), dtype="<f8")
-    if phases.size != n * dim or raw.size != 2 * dim:
-        raise SessionIOError("truncated codebook payload")
-    tag = raw[0::2] + 1j * raw[1::2]
-    phases = np.array(phases, dtype=np.float64)
+    dim, n = struct.unpack("<II", read_exact(src, 8))
+    if dim < 1 or n < 1:
+        raise SessionIOError(f"bad codebook shape {n} x {dim}")
+    ms = struct.unpack(f"<{n}I", read_exact(src, 4 * n))
+    phases = np.frombuffer(read_exact(src, 8 * n * dim), dtype="<f8")
+    tag = read_vector(src, dim)
     return ResidueCodebook(
         moduli=ModuliSet(ms),
         dim=dim,
-        phases=phases,
-        bases=np.exp(1j * phases),
+        phases=phases.reshape(n, dim).astype(np.float64),
         tag=tag,
     )

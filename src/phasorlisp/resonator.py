@@ -21,7 +21,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .fhrr import normalize
+from .fhrr import normalize, similarities
 
 __all__ = ["FactorCodebook", "ResonatorState", "factorize", "cleanup"]
 
@@ -71,7 +71,7 @@ def cleanup(s: np.ndarray, codebook: FactorCodebook) -> tuple[int, float]:
         raise DimensionError(
             f"probe dimension {s.shape[0]} != codebook dimension {codebook.dim}"
         )
-    sims = (codebook.atoms.conj() @ s).real / codebook.dim
+    sims = similarities(codebook.atoms, s)
     idx = int(np.argmax(sims))
     return idx, float(sims[idx])
 

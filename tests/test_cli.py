@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 
 def cli(*args, stdin=""):
     """Run the command line in a subprocess, return (exit, stdout, stderr)."""
@@ -110,6 +112,85 @@ def test_small_dimension_exit_2():
     code, _, err = cli("--dim", "16", "repl", stdin="")
     assert code == 2
     assert err.startswith("ERROR:config:")
+
+
+# Session file layout at the CLI defaults (dim 1000, moduli 3,5,7): the
+# codebook block, the entry count, then the first entry, which is always
+# the integer tag stored as "symbol:int".
+DIM, N_MODULI = 1000, 3
+HEADER_END = 4 + 8 + 4 * N_MODULI
+PHASES_END = HEADER_END + 8 * N_MODULI * DIM
+TAG_END = PHASES_END + 16 * DIM
+COUNT_END = TAG_END + 4
+NAME_LEN_END = COUNT_END + 4
+NAME_END = NAME_LEN_END + len(b"symbol:int")
+
+
+@pytest.fixture(scope="module")
+def saved_session(tmp_path_factory):
+    path = tmp_path_factory.mktemp("saved") / "work.vls"
+    code, _, _ = cli(
+        "--session", str(path), "repl", stdin="(define xs (quote (a 2)))\n"
+    )
+    assert code == 0
+    data = path.read_bytes()
+    assert data[NAME_LEN_END:NAME_END] == b"symbol:int"
+    return data
+
+
+def _run_with_session(tmp_path, data):
+    sess = tmp_path / "corrupt.vls"
+    sess.write_bytes(data)
+    script = tmp_path / "prog.vl"
+    script.write_text("(+ 1 2)\n")
+    return cli("--session", str(sess), "run", str(script))
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        pytest.param(2, id="magic"),
+        pytest.param(10, id="header"),
+        pytest.param(40, id="phases"),
+        pytest.param(PHASES_END + 5, id="tag"),
+        pytest.param(TAG_END + 2, id="count"),
+        pytest.param(COUNT_END + 1, id="name-length"),
+        pytest.param(NAME_LEN_END + 3, id="name"),
+        pytest.param(NAME_END + 7, id="vector"),
+        pytest.param(-5, id="last-vector"),
+    ],
+)
+def test_truncated_session_file_exits_2(saved_session, tmp_path, cut):
+    code, out, err = _run_with_session(tmp_path, saved_session[:cut])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:io:")
+
+
+def test_session_name_that_is_not_utf8_exits_2(saved_session, tmp_path):
+    data = bytearray(saved_session)
+    data[NAME_LEN_END:NAME_LEN_END + 2] = b"\xff\xfe"
+    code, out, err = _run_with_session(tmp_path, bytes(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:io:")
+
+
+def test_deep_recursion_reports_depth_and_keeps_the_session():
+    length = (
+        "(define length (lambda (l) (cond ((eq? l nil) 0)"
+        " (t (+ 1 (length (cdr l)))))))"
+    )
+    items = " ".join(f"a{i}" for i in range(160))
+    code, out, _ = cli(
+        "repl",
+        stdin=f"{length}\n(length (quote ({items})))\n(length (quote (a b)))\n",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "length"
+    assert lines[1].startswith("ERROR:depth:")
+    assert lines[2] == "2"
 
 
 def test_session_file_persists_definitions(tmp_path):

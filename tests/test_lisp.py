@@ -12,7 +12,9 @@ from phasorlisp import (
     LispTypeError,
     NoInverseError,
     NotApplicableError,
+    RecursionDepthError,
     Session,
+    SessionIOError,
     UnboundSymbolError,
     decode_residue,
     new_rng,
@@ -73,7 +75,7 @@ def test_addition_example(session):
 
 def test_subtraction_wraps_to_symmetric_window(session):
     assert run(session, "(- 2 3)") == "-1"
-    r = session.resolve(session.eval_expr(parse_one("(- 2 3)")).vector)
+    r = session.resolve(session.eval_expr(parse_one("(- 2 3)")))
     assert r.value == 104
 
 
@@ -89,13 +91,9 @@ def test_arithmetic_matches_modular_oracle(session):
     for _ in range(25):
         a = int(rng.integers(0, 105))
         b = int(rng.integers(0, 105))
-        got = session.resolve(
-            session.eval_expr(parse_one(f"(+ {a} {b})")).vector
-        )
+        got = session.resolve(session.eval_expr(parse_one(f"(+ {a} {b})")))
         assert got.value == (a + b) % 105
-        got = session.resolve(
-            session.eval_expr(parse_one(f"(* {a} {b})")).vector
-        )
+        got = session.resolve(session.eval_expr(parse_one(f"(* {a} {b})")))
         assert got.value == (a * b) % 105
 
 
@@ -258,6 +256,14 @@ def test_define_returns_the_symbol(session):
     assert run(session, "nine") == "9"
 
 
+def test_value_read_before_a_redefinition_keeps_its_value(session):
+    # arguments evaluate left to right: x is read as 1 before it is rebound
+    run(session, "(define x 1)")
+    run(session, "(define y (cons x (define x 2)))")
+    assert run(session, "(car y)") == "1"
+    assert run(session, "x") == "2"
+
+
 def test_define_can_shadow_a_primitive(session):
     run(session, "(define + (lambda (a b) 42))")
     assert run(session, "(+ 1 2)") == "42"
@@ -297,6 +303,19 @@ def test_recursive_factorial_wraps_modularly(session):
     assert run(session, "(fact 4)") == "24"
     # 5! = 120 = 15 mod 105
     assert run(session, "(fact 5)") == "15"
+
+
+def test_deep_recursion_is_a_typed_error_and_the_session_survives(session):
+    run(
+        session,
+        "(define length (lambda (l) (cond ((eq? l nil) 0)"
+        " (t (+ 1 (length (cdr l)))))))",
+    )
+    items = " ".join(f"a{i}" for i in range(160))
+    with pytest.raises(RecursionDepthError) as excinfo:
+        run(session, f"(length (quote ({items})))")
+    assert excinfo.value.kind == "depth"
+    assert run(session, "(length (quote (a b)))") == "2"
 
 
 # -- printing ----------------------------------------------------------
@@ -392,6 +411,36 @@ def test_save_to_buffer(session):
     session.save(buf)
     other = Session.restore(io.BytesIO(buf.getvalue()))
     assert run(other, "x") == "5"
+
+
+def test_save_restore_save_is_byte_identical(session):
+    # a closure capturing its call frame, a call, and a nested quoted list
+    list(
+        session.eval_source(
+            "(define make-adder (lambda (n) (lambda (x) (+ x n))))"
+            "(define add3 (make-adder 3))"
+            "(define xs (quote (a (b 2) c)))"
+            "(add3 4)"
+            "(car (cdr xs))"
+        )
+    )
+    first = io.BytesIO()
+    session.save(first)
+    second = io.BytesIO()
+    Session.restore(io.BytesIO(first.getvalue())).save(second)
+    assert second.getvalue() == first.getvalue()
+
+
+def test_restore_rejects_a_reference_to_a_missing_scope(session):
+    run(session, "(define add3 ((lambda (n) (lambda (x) (+ x n))) 3))")
+    buf = io.BytesIO()
+    session.save(buf)
+    good = b"parent:env-1:env-0"
+    data = buf.getvalue()
+    assert data.count(good) == 1
+    data = data.replace(good, b"parent:env-1:env-9")
+    with pytest.raises(SessionIOError):
+        Session.restore(io.BytesIO(data))
 
 
 # -- config validation -------------------------------------------------
