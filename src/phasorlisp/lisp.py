@@ -15,6 +15,7 @@ are similarity tests against the threshold theta.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterator
@@ -110,15 +111,30 @@ class Config:
 class Resolved:
     """A vector snapped back to what the session knows it to be.
 
-    ``kind`` is one of int, bool, nil, symbol, pointer, env, role, or
-    unknown.  ``vector`` is the exact stored (or re-encoded) form, free
-    of the noise the query may have carried.
+    ``kind`` is one of int, bool, nil, symbol, cons, lambda, pointer,
+    env, role, or unknown.  A pointer whose chunk carries the ``#cons`` or
+    ``#lambda`` tag resolves as ``cons`` or ``lambda``; ``pointer`` is left
+    for a chunk with neither.  ``vector`` is the exact stored (or
+    re-encoded) form, free of the noise the query may have carried.  The
+    evaluator hands code from step to step as ``Resolved``, so each code
+    vector is cleaned up once.
     """
 
     kind: str
     name: str | None
     value: int | None
     vector: np.ndarray
+
+
+@contextmanager
+def _depth_guard(what: str) -> Iterator[None]:
+    """Report Python stack exhaustion as the typed ``depth`` error."""
+    try:
+        yield
+    except RecursionError:
+        raise RecursionDepthError(
+            f"{what} nested too deeply for the Python stack"
+        ) from None
 
 
 class Session:
@@ -256,31 +272,31 @@ class Session:
                 kind = "bool"
             elif hit.name == "nil":
                 kind = "nil"
+        elif kind == "pointer":
+            chunk = self.memory.chunk(hit.name)
+            for tag in _TAG_NAMES:
+                if similarity(chunk, self._role(tag)) > self.config.theta:
+                    kind = tag[1:]
+                    break
         return Resolved(kind, hit.name, None, hit.vector)
 
-    def _chunk_kind(self, chunk: np.ndarray) -> str:
-        if similarity(chunk, self._role("#cons")) > self.config.theta:
-            return "cons"
-        if similarity(chunk, self._role("#lambda")) > self.config.theta:
-            return "lambda"
-        return "unknown"
+    def _unbind_role(self, r: Resolved, role: str) -> Resolved:
+        return self.resolve(unbind(self.memory.chunk(r.name), self._role(role)))
 
-    def _unbind_role(self, chunk: np.ndarray, role: str) -> Resolved:
-        return self.resolve(unbind(chunk, self._role(role)))
+    def _chain(self, r: Resolved) -> tuple[list[Resolved], Resolved]:
+        """Heads of the cons chain starting at ``r`` and the value ending it."""
+        heads: list[Resolved] = []
+        while r.kind == "cons":
+            heads.append(self._unbind_role(r, "#head"))
+            r = self._unbind_role(r, "#tail")
+        return heads, r
 
-    def _chain_items(self, r: Resolved) -> list[np.ndarray]:
-        """Vectors of a proper list's elements, cleaned at every level."""
-        items: list[np.ndarray] = []
-        while True:
-            if r.kind == "nil":
-                return items
-            if r.kind == "pointer":
-                chunk = self.memory.chunk(r.name)
-                if self._chunk_kind(chunk) == "cons":
-                    items.append(self._unbind_role(chunk, "#head").vector)
-                    r = self._unbind_role(chunk, "#tail")
-                    continue
+    def _chain_items(self, r: Resolved) -> list[Resolved]:
+        """A proper list's elements, each cleaned up once."""
+        items, end = self._chain(r)
+        if end.kind != "nil":
             raise EvalError("expected a proper list")
+        return items
 
     # -- evaluation -----------------------------------------------------
 
@@ -290,39 +306,31 @@ class Session:
         Evaluation recurses on the Python stack, so a program nested or
         recursing too deeply raises ``RecursionDepthError``.
         """
-        try:
-            return self.eval_vec(self.encode(expr), self.global_env)
-        except RecursionError:
-            raise RecursionDepthError(
-                "evaluation nested too deeply for the Python stack"
-            ) from None
+        with _depth_guard("evaluation"):
+            return self.eval_vec(self.resolve(self.encode(expr)), self.global_env)
 
     def eval_source(self, source: str) -> Iterator[str]:
         """Evaluate every form in ``source``, yielding printed results."""
         for expr in parse_program(source):
             yield self.print_value(self.eval_expr(expr))
 
-    def eval_vec(self, v: np.ndarray, env: Environment) -> np.ndarray:
-        r = self.resolve(v)
-        if r.kind in ("int", "bool", "nil"):
+    def eval_vec(self, r: Resolved, env: Environment) -> np.ndarray:
+        """Value of the code ``r`` in ``env``."""
+        if r.kind in ("int", "bool", "nil", "lambda"):
             return r.vector
         if r.kind == "symbol":
             return env.lookup(r.name)
+        if r.kind == "cons":
+            return self._eval_combination(r, env)
         if r.kind == "pointer":
-            chunk = self.memory.chunk(r.name)
-            ck = self._chunk_kind(chunk)
-            if ck == "lambda":
-                return r.vector
-            if ck == "cons":
-                return self._eval_combination(chunk, env)
             raise NotApplicableError(f"cannot evaluate chunk {r.name}")
         if r.kind in ("env", "role"):
             raise EvalError(f"cannot evaluate internal symbol {r.name!r}")
         raise EvalError("cannot evaluate an unrecognized vector")
 
-    def _eval_combination(self, chunk: np.ndarray, env: Environment) -> np.ndarray:
-        head = self._unbind_role(chunk, "#head")
-        rest = self._chain_items(self._unbind_role(chunk, "#tail"))
+    def _eval_combination(self, r: Resolved, env: Environment) -> np.ndarray:
+        head = self._unbind_role(r, "#head")
+        rest = self._chain_items(self._unbind_role(r, "#tail"))
         if head.kind == "symbol":
             name = head.name
             if name in SPECIAL_FORMS:
@@ -340,17 +348,17 @@ class Session:
                 args = [self.eval_vec(a, env) for a in rest]
                 return self._apply_primitive(name, args)
         else:
-            operator = self.eval_vec(head.vector, env)
+            operator = self.eval_vec(head, env)
         args = [self.eval_vec(a, env) for a in rest]
         return self.apply(operator, args)
 
     def _special_form(
-        self, name: str, rest: list[np.ndarray], env: Environment
+        self, name: str, rest: list[Resolved], env: Environment
     ) -> np.ndarray:
         if name == "quote":
             if len(rest) != 1:
                 raise ArityError(f"quote expects 1 argument, got {len(rest)}")
-            return rest[0]
+            return rest[0].vector
         if name == "lambda":
             if len(rest) != 2:
                 raise ArityError(
@@ -360,7 +368,7 @@ class Session:
         if name == "define":
             if len(rest) != 2:
                 raise ArityError(f"define expects 2 arguments, got {len(rest)}")
-            target = self.resolve(rest[0])
+            target = rest[0]
             if target.kind in ("bool", "nil"):
                 raise EvalError(
                     f"cannot redefine the constant {target.name!r}"
@@ -370,8 +378,8 @@ class Session:
             env.define(target.name, self.eval_vec(rest[1], env))
             return target.vector
         # cond: first clause whose test is similar to t selects the result
-        for clause_v in rest:
-            clause = self._chain_items(self.resolve(clause_v))
+        for clause_r in rest:
+            clause = self._chain_items(clause_r)
             if len(clause) != 2:
                 raise EvalError("cond clause needs exactly a test and a result")
             test_val = self.eval_vec(clause[0], env)
@@ -379,13 +387,9 @@ class Session:
                 return self.eval_vec(clause[1], env)
         return self.symbol("nil")
 
-    def _param_names(self, params_v: np.ndarray) -> list[str]:
-        r = self.resolve(params_v)
-        if r.kind == "nil":
-            return []
+    def _param_names(self, params: Resolved) -> list[str]:
         names = []
-        for item in self._chain_items(r):
-            p = self.resolve(item)
+        for p in self._chain_items(params):
             if p.kind in ("bool", "nil"):
                 raise EvalError(
                     f"{p.name!r} is a reserved constant, not a parameter name"
@@ -396,14 +400,14 @@ class Session:
         return names
 
     def _make_closure(
-        self, params_v: np.ndarray, body_v: np.ndarray, env: Environment
+        self, params: Resolved, body: Resolved, env: Environment
     ) -> np.ndarray:
-        self._param_names(params_v)  # reject malformed parameter lists now
+        self._param_names(params)  # reject malformed parameter lists now
         handle = self._handle_for(env)
         composite = (
             self._role("#lambda")
-            + bind(self._role("#params"), params_v)
-            + bind(self._role("#body"), body_v)
+            + bind(self._role("#params"), params.vector)
+            + bind(self._role("#body"), body.vector)
             + bind(self._role("#env"), self.memory.vector(handle))
         )
         name = f"closure-{self._closure_n}"
@@ -415,16 +419,14 @@ class Session:
     def apply(self, operator: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
         """Apply a closure value to already-evaluated arguments."""
         r = self.resolve(operator)
-        if r.kind == "pointer":
-            chunk = self.memory.chunk(r.name)
-            if self._chunk_kind(chunk) == "lambda":
-                return self._apply_closure(chunk, args)
+        if r.kind == "lambda":
+            return self._apply_closure(r, args)
         raise NotApplicableError(f"cannot apply a value of kind {r.kind}")
 
-    def _apply_closure(self, chunk: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
-        params = self._param_names(self._unbind_role(chunk, "#params").vector)
-        body = self._unbind_role(chunk, "#body").vector
-        env_ref = self._unbind_role(chunk, "#env")
+    def _apply_closure(self, r: Resolved, args: list[np.ndarray]) -> np.ndarray:
+        params = self._param_names(self._unbind_role(r, "#params"))
+        body = self._unbind_role(r, "#body")
+        env_ref = self._unbind_role(r, "#env")
         if env_ref.kind != "env" or env_ref.name not in self.environments:
             raise DanglingPointerError(
                 "closure environment is not present in this session"
@@ -478,20 +480,13 @@ class Session:
         return similarity(u, v) > self.config.theta
 
     def _is_pair(self, v: np.ndarray) -> bool:
-        r = self.resolve(v)
-        return (
-            r.kind == "pointer"
-            and self._chunk_kind(self.memory.chunk(r.name)) == "cons"
-        )
+        return self.resolve(v).kind == "cons"
 
     def _select(self, v: np.ndarray, role: str, who: str) -> np.ndarray:
         r = self.resolve(v)
-        if r.kind != "pointer":
+        if r.kind != "cons":
             raise LispTypeError(f"{who} expects a pair")
-        chunk = self.memory.chunk(r.name)
-        if self._chunk_kind(chunk) != "cons":
-            raise LispTypeError(f"{who} expects a pair")
-        return self._unbind_role(chunk, role).vector
+        return self._unbind_role(r, role).vector
 
     def car(self, v: np.ndarray) -> np.ndarray:
         return self._select(v, "#head", "car")
@@ -558,42 +553,34 @@ class Session:
         return x if x < (r + 1) // 2 else x - r
 
     def print_value(self, v: np.ndarray) -> str:
-        """Human-readable rendering of a value vector."""
-        return self._format(self.resolve(v))
+        """Human-readable rendering of a value vector.
+
+        Printing recurses on the Python stack once per nesting level, so
+        a list nested too deeply raises ``RecursionDepthError``.
+        """
+        with _depth_guard("printing"):
+            return self._format(self.resolve(v))
 
     def _format(self, r: Resolved) -> str:
         if r.kind == "int":
             return str(self.display_int(r.value))
         if r.kind in ("bool", "nil", "symbol", "env", "role"):
             return r.name
+        if r.kind == "lambda":
+            return "#<lambda>"
+        if r.kind == "cons":
+            heads, end = self._chain(r)
+            text = " ".join([self._format(h) for h in heads])
+            if end.kind != "nil":
+                text += " . " + self._format(end)
+            return "(" + text + ")"
         if r.kind == "pointer":
-            chunk = self.memory.chunk(r.name)
-            ck = self._chunk_kind(chunk)
-            if ck == "lambda":
-                return "#<lambda>"
-            if ck == "cons":
-                return self._format_chain(r)
             return f"#<chunk {r.name}>"
         try:
             best = self.memory.recall(r.vector, floor=-1.0).similarity
         except MemoryEmptyError:
             best = 0.0
         return f"#<vector sim={best:.3f}>"
-
-    def _format_chain(self, r: Resolved) -> str:
-        parts: list[str] = []
-        while True:
-            chunk = self.memory.chunk(r.name)
-            parts.append(self._format(self._unbind_role(chunk, "#head")))
-            tail = self._unbind_role(chunk, "#tail")
-            if tail.kind == "nil":
-                return "(" + " ".join(parts) + ")"
-            if tail.kind == "pointer" and self._chunk_kind(
-                self.memory.chunk(tail.name)
-            ) == "cons":
-                r = tail
-                continue
-            return "(" + " ".join(parts) + " . " + self._format(tail) + ")"
 
     # -- persistence ----------------------------------------------------
 
@@ -609,11 +596,6 @@ class Session:
             with open(dest, "wb") as fh:
                 self.save(fh)
             return
-        for env in list(self.environments.values()):
-            walk = env.parent
-            while walk is not None:
-                self._handle_for(walk)
-                walk = walk.parent
         entries: list[tuple[str, np.ndarray]] = []
         for name in self.memory.names():
             entries.append(
@@ -681,6 +663,8 @@ class Session:
                     raise SessionIOError(f"unknown session entry {name!r}")
             for name, composite in chunks:
                 sess.memory.attach_chunk(name, composite)
+            for name in sess.memory.names(kind="pointer"):
+                sess.memory.chunk(name)  # every pointer names a stored chunk
             for handle in sess.memory.names(kind="env"):
                 env = Environment()
                 env.handle = handle

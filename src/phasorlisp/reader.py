@@ -103,27 +103,31 @@ class _Parser:
         return tok
 
     def expression(self) -> SExpr:
-        if self.at_end():
-            raise ParseError("unexpected end of input", self._source_len)
-        tok = self._next()
-        if tok.text == "(":
-            return self._list(tok)
-        if tok.text == ")":
-            raise ParseError("unexpected )", tok.position)
-        return _atom_from(tok)
+        """One form.
 
-    def _list(self, open_tok: Token) -> SExpr:
-        items: list[SExpr] = []
+        Open lists wait on an explicit stack, so nesting depth is bounded
+        by memory rather than by the Python stack.
+        """
+        open_lists: list[list[SExpr]] = []
         while True:
             if self.at_end():
-                raise ParseError("unbalanced parenthesis", self._source_len)
-            if self._peek().text == ")":
-                self._next()
-                break
-            items.append(self.expression())
-        if not items:
-            return Atom("nil")
-        return ListExpr(tuple(items))
+                if open_lists:
+                    raise ParseError("unbalanced parenthesis", self._source_len)
+                raise ParseError("unexpected end of input", self._source_len)
+            tok = self._next()
+            if tok.text == "(":
+                open_lists.append([])
+                continue
+            if tok.text != ")":
+                expr = _atom_from(tok)
+            elif not open_lists:
+                raise ParseError("unexpected )", tok.position)
+            else:
+                items = open_lists.pop()
+                expr = ListExpr(tuple(items)) if items else Atom("nil")
+            if not open_lists:
+                return expr
+            open_lists[-1].append(expr)
 
 
 def parse_program(source: str) -> list[SExpr]:

@@ -188,10 +188,6 @@ def decode_residue(
     v: np.ndarray,
     method: str = "exhaustive",
     floor: float = DECODE_FLOOR,
-    max_iters: int = 100,
-    patience: int = 3,
-    trace: IO[str] | None = None,
-    restarts: int = RESONATOR_RESTARTS,
 ) -> int:
     """Recover the integer whose code best matches ``v``.
 
@@ -199,10 +195,10 @@ def decode_residue(
     the similarity kernel.  ``resonator`` factorizes ``v`` against the
     per-modulus codebooks and reassembles the residues via the CRT; the
     reassembled integer is verified by re-encoding it, and a failed check
-    retries the factorization from up to ``restarts`` reproducible random
-    starting mixtures before giving up.  Either way, a best match below
-    ``floor`` raises ``DecodeError`` rather than returning an arbitrary
-    integer.
+    retries the factorization from up to ``RESONATOR_RESTARTS``
+    reproducible random starting mixtures before giving up.  Either way, a
+    best match below ``floor`` raises ``DecodeError`` rather than
+    returning an arbitrary integer.
     """
     if v.shape[0] != cb.dim:
         raise DimensionError(
@@ -219,15 +215,8 @@ def decode_residue(
         books = cb.factor_codebooks()
         x = -1
         check = -1.0
-        for attempt in range(restarts + 1):
-            state = factorize(
-                v,
-                books,
-                max_iters=max_iters,
-                patience=patience,
-                trace=trace,
-                seed=None if attempt == 0 else attempt,
-            )
+        for attempt in range(RESONATOR_RESTARTS + 1):
+            state = factorize(v, books, seed=None if attempt == 0 else attempt)
             x = crt_reconstruct(list(state.indices), cb.moduli)
             check = float(np.vdot(encode_residue(cb, x), v).real / cb.dim)
             if check >= floor:

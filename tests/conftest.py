@@ -1,5 +1,11 @@
+import os
 import sys
 from pathlib import Path
+
+# One BLAS/OpenMP thread, fixed before numpy loads: with more threads than
+# free cores the timed acceptance tests slow several-fold under load.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest

@@ -193,6 +193,17 @@ def test_deep_recursion_reports_depth_and_keeps_the_session():
     assert lines[2] == "2"
 
 
+
+def test_run_reports_deep_nesting_as_depth(tmp_path):
+    depth = 2000
+    script = tmp_path / "deep.vl"
+    script.write_text("(quote " + "(" * depth + "a" + ")" * depth + ")")
+    code, out, err = cli("run", str(script))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ERROR:depth:")
+    assert "Traceback" not in err
+
 def test_session_file_persists_definitions(tmp_path):
     sess = tmp_path / "work.vls"
     code, out, _ = cli(

@@ -60,6 +60,45 @@ def test_resolve_classifies_values(session):
     assert session.resolve(junk).kind == "unknown"
 
 
+def test_resolve_names_cons_and_lambda_chunks(session):
+    pair = session.eval_expr(parse_one("(quote (a))"))
+    closure = session.eval_expr(parse_one("(lambda (x) x)"))
+    assert session.resolve(pair).kind == "cons"
+    assert session.resolve(closure).kind == "lambda"
+
+
+@pytest.mark.parametrize(
+    "source, recalls, printed",
+    [
+        # 1 for the form, 2 for + and the first cell, 1 per later cell
+        ("(+ 2 3)", 5, "5"),
+        # 1 for the form, 3 for its head and the chain (2); 6 for the
+        # lambda form's head and parts, 2 to check (x); 1 to resolve the
+        # closure, 5 for params (walked), body and env; 5 for (+ x 1)
+        ("((lambda (x) (+ x 1)) 2)", 23, "3"),
+    ],
+)
+def test_each_code_vector_is_resolved_once(
+    session, monkeypatch, source, recalls, printed
+):
+    import phasorlisp.lisp
+
+    decodes = []
+    real = phasorlisp.lisp.decode_residue
+
+    def counting(*args, **kwargs):
+        decodes.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(phasorlisp.lisp, "decode_residue", counting)
+    before = session.memory.recalls
+    value = session.eval_expr(parse_one(source))
+    # one decode per integer literal, none when its value is evaluated
+    assert len(decodes) == 2
+    assert session.memory.recalls - before == recalls
+    assert session.print_value(value) == printed
+
+
 def test_force_decode_confidence(session):
     x, conf = session.force_decode(session.encode_int(33))
     assert x == 33
@@ -333,6 +372,16 @@ def test_print_closure(session):
     assert run(session, "(lambda (x) x)") == "#<lambda>"
 
 
+def test_printing_deep_nesting_is_a_typed_error_and_the_session_survives(session):
+    depth = 600
+    value = session.eval_expr(
+        parse_one("(quote " + "(" * depth + "a" + ")" * depth + ")")
+    )
+    with pytest.raises(RecursionDepthError):
+        session.print_value(value)
+    assert run(session, "(car (quote (a b)))") == "a"
+
+
 def test_print_unknown_vector(session):
     junk = random_symbol(new_rng(3), session.config.dim)
     out = session.print_value(junk)
@@ -443,6 +492,18 @@ def test_restore_rejects_a_reference_to_a_missing_scope(session):
         Session.restore(io.BytesIO(data))
 
 
+def test_restore_rejects_a_pointer_without_its_chunk(session):
+    run(session, "(define xs (quote (a b)))")
+    buf = io.BytesIO()
+    session.save(buf)
+    data = buf.getvalue()
+    assert data.count(b"chunk:cell-0") == 1
+    # same length, so the length prefix stays valid
+    data = data.replace(b"chunk:cell-0", b"bind:env-0:q")
+    with pytest.raises(SessionIOError):
+        Session.restore(io.BytesIO(data))
+
+
 # -- config validation -------------------------------------------------
 
 
@@ -461,3 +522,4 @@ def test_config_rejects_unknown_decode_method():
 def test_config_range(session):
     assert session.config.moduli == (3, 5, 7)
     assert math.prod(session.config.moduli) == 105
+

@@ -75,3 +75,12 @@ def test_parse_empty_source():
     with pytest.raises(ParseError):
         parse_one("   ; only a comment")
     assert parse_program("  ; nothing\n") == []
+
+
+def test_parse_reads_nesting_deeper_than_the_python_stack():
+    depth = 2000
+    (form,) = parse_program("(quote " + "(" * depth + "a" + ")" * depth + ")")
+    expr = form.items[1]
+    for _ in range(depth - 1):
+        (expr,) = expr.items
+    assert expr == ListExpr((Atom("a"),))
