@@ -18,7 +18,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -115,15 +115,29 @@ class Resolved:
     env, role, or unknown.  A pointer whose chunk carries the ``#cons`` or
     ``#lambda`` tag resolves as ``cons`` or ``lambda``; ``pointer`` is left
     for a chunk with neither.  ``vector`` is the exact stored (or
-    re-encoded) form, free of the noise the query may have carried.  The
-    evaluator hands code from step to step as ``Resolved``, so each code
-    vector is cleaned up once.
+    re-encoded) form, free of the noise the query may have carried.
+    ``similarity`` is the recall score of the winning memory entry, or
+    ``None`` for an integer or an unknown vector.  The evaluator hands
+    code from step to step as ``Resolved``, and ``Session._unbind_role``
+    resolves each part of a chunk once per session, so each code vector is
+    cleaned up once.
     """
 
     kind: str
     name: str | None
     value: int | None
     vector: np.ndarray
+    similarity: float | None = None
+
+
+class _Reading(NamedTuple):
+    """A memoized ``Resolved`` without its vector, and the memory size then."""
+
+    kind: str
+    name: str | None
+    value: int | None
+    similarity: float | None
+    rows: int
 
 
 @contextmanager
@@ -170,6 +184,8 @@ class Session:
         self._cell_n = 0
         self._closure_n = 0
         self._env_n = 0
+        #: (chunk name, role) -> what the role resolved to; see _unbind_role
+        self._readings: dict[tuple[str, str], _Reading] = {}
 
     def _bootstrap(self) -> None:
         dim = self.config.dim
@@ -278,10 +294,47 @@ class Session:
                 if similarity(chunk, self._role(tag)) > self.config.theta:
                     kind = tag[1:]
                     break
-        return Resolved(kind, hit.name, None, hit.vector)
+        return Resolved(kind, hit.name, None, hit.vector, hit.similarity)
 
     def _unbind_role(self, r: Resolved, role: str) -> Resolved:
-        return self.resolve(unbind(self.memory.chunk(r.name), self._role(role)))
+        """``resolve`` of what ``role`` holds in the chunk ``r`` names.
+
+        The reading is memoized per (chunk name, role), and a memo hit
+        returns exactly what a fresh ``resolve`` would.  A chunk is written
+        once, so the unbound vector never changes, and an integer reading
+        depends on nothing else.  Memory is append-only and ``np.argmax``
+        keeps the first maximum, so a recalled entry stays the winner
+        unless an entry added since scores at least as high.  Only those
+        entries are scored; if one ties or beats the remembered score, the
+        role is resolved in full.  Unknown readings are not kept.  The memo
+        holds names and numbers, never arrays, so it pins no memory buffer.
+        """
+        key = (r.name, role)
+        rows = len(self.memory)
+        known = self._readings.get(key)
+        if known is not None and (known.kind == "int" or known.rows == rows):
+            return self._reread(known)
+        v = unbind(self.memory.chunk(r.name), self._role(role))
+        if (
+            known is not None
+            and self.memory.best_since(v, known.rows) < known.similarity
+        ):
+            self._readings[key] = known._replace(rows=rows)
+            return self._reread(known)
+        out = self.resolve(v)
+        if out.kind != "unknown":
+            self._readings[key] = _Reading(
+                out.kind, out.name, out.value, out.similarity, rows
+            )
+        return out
+
+    def _reread(self, known: _Reading) -> Resolved:
+        if known.kind == "int":
+            return Resolved("int", None, known.value, self.encode_int(known.value))
+        return Resolved(
+            known.kind, known.name, None, self.memory.vector(known.name),
+            known.similarity,
+        )
 
     def _chain(self, r: Resolved) -> tuple[list[Resolved], Resolved]:
         """Heads of the cons chain starting at ``r`` and the value ending it."""

@@ -71,7 +71,8 @@ class CleanupMemory:
     """Named phasor vectors with nearest neighbour recall.
 
     Entries are unique by name and never rewritten.  Pointer entries
-    additionally carry a composite chunk vector, retrieved by ``chunk``.
+    additionally carry a composite chunk vector, retrieved by ``chunk``
+    and, like the entries, written once.
     Recalls are counted so benchmarks can report memory traffic.
     """
 
@@ -129,13 +130,18 @@ class CleanupMemory:
         self.attach_chunk(name, composite)
 
     def attach_chunk(self, name: str, composite: np.ndarray) -> None:
-        """Attach a composite to an already-stored pointer entry."""
+        """Attach a composite to a stored pointer entry that has none yet.
+
+        Chunks are write-once: a second attach raises ValueError.
+        """
         if composite.shape[0] != self.dim:
             raise DimensionError(
                 f"chunk dimension {composite.shape[0]} != memory dimension {self.dim}"
             )
         if self.kind(name) != "pointer":
             raise ValueError(f"entry {name!r} is not a pointer")
+        if name in self._chunks:
+            raise ValueError(f"pointer {name!r} already has a chunk")
         self._chunks[name] = composite
 
     def recall(self, v: np.ndarray, floor: float | None = None) -> RecallResult:
@@ -168,6 +174,14 @@ class CleanupMemory:
             similarity=score,
             kind=self._kinds[best],
         )
+
+    def best_since(self, v: np.ndarray, row: int) -> float:
+        """Highest similarity of ``v`` to the entries stored from ``row`` on.
+
+        Not a recall: nothing is counted and no floor applies.  There must
+        be at least one such entry.
+        """
+        return float(similarities(self._table.matrix[row:], v).max())
 
     def stats(self) -> dict[str, int]:
         return {

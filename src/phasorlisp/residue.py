@@ -175,6 +175,12 @@ def negate(v: np.ndarray) -> np.ndarray:
 
 RESONATOR_RESTARTS = 10
 
+#: Re-encode check at which a resonator reading is accepted without
+#: restarting.  A true code scores about 1 under chunk crosstalk or added
+#: noise and a wrong one about 0, so the midpoint separates them; a wrong
+#: fixed point can still clear the much lower ``floor``.
+RESONATOR_ACCEPT = 0.5
+
 
 def nearest_code(cb: ResidueCodebook, v: np.ndarray) -> tuple[int, float]:
     """Scan every code: the best-matching integer and its similarity."""
@@ -194,9 +200,10 @@ def decode_residue(
     ``exhaustive`` scans every code in [0, range) and takes the argmax of
     the similarity kernel.  ``resonator`` factorizes ``v`` against the
     per-modulus codebooks and reassembles the residues via the CRT; the
-    reassembled integer is verified by re-encoding it, and a failed check
-    retries the factorization from up to ``RESONATOR_RESTARTS``
-    reproducible random starting mixtures before giving up.  Either way, a
+    reassembled integer is verified by re-encoding it.  A check below
+    ``RESONATOR_ACCEPT`` (or ``floor``, if higher) retries the
+    factorization from up to ``RESONATOR_RESTARTS`` reproducible random
+    starting mixtures, and the best-checking reading wins.  Either way, a
     best match below ``floor`` raises ``DecodeError`` rather than
     returning an arbitrary integer.
     """
@@ -213,16 +220,21 @@ def decode_residue(
         return x
     if method == "resonator":
         books = cb.factor_codebooks()
-        x = -1
-        check = -1.0
+        accept = max(floor, RESONATOR_ACCEPT)
+        best, best_check = -1, -np.inf
         for attempt in range(RESONATOR_RESTARTS + 1):
             state = factorize(v, books, seed=None if attempt == 0 else attempt)
             x = crt_reconstruct(list(state.indices), cb.moduli)
             check = float(np.vdot(encode_residue(cb, x), v).real / cb.dim)
-            if check >= floor:
+            if check >= accept:
                 return x
+            if check > best_check:
+                best, best_check = x, check
+        if best_check >= floor:
+            return best
         raise DecodeError(
-            f"reconstructed {x} matches at {check:.3f}, below the {floor} floor"
+            f"reconstructed {best} matches at {best_check:.3f}, below the "
+            f"{floor} floor"
         )
     raise ValueError(f"unknown decode method {method!r}")
 

@@ -26,22 +26,34 @@ from .fhrr import normalize, similarities
 __all__ = ["FactorCodebook", "ResonatorState", "factorize", "cleanup"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorCodebook:
     """Candidate atoms for one factor slot.
 
     ``atoms`` is an (N, dim) complex matrix, one unit-modulus atom per row.
+    The codebook is immutable, so the per-sweep constants of ``factorize``
+    are computed once here: the conjugated atoms, the default starting
+    estimate (the normalized superposition of the atoms) and its winning
+    atom index.
     """
 
     atoms: np.ndarray
     label: str = ""
+    conj_atoms: np.ndarray = field(init=False, repr=False)
+    start: np.ndarray = field(init=False, repr=False)
+    start_index: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.atoms = np.asarray(self.atoms, dtype=np.complex128)
-        if self.atoms.ndim != 2 or self.atoms.shape[0] < 1:
+        atoms = np.asarray(self.atoms, dtype=np.complex128)
+        if atoms.ndim != 2 or atoms.shape[0] < 1:
             raise DimensionError(
                 f"codebook {self.label!r} needs at least one atom row"
             )
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "conj_atoms", atoms.conj())
+        start = normalize(atoms.sum(axis=0))
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "start_index", cleanup(start, self)[0])
 
     def __len__(self) -> int:
         return self.atoms.shape[0]
@@ -83,15 +95,19 @@ def _winning(estimates: Sequence[np.ndarray],
 
 def _initial_estimates(
     codebooks: Sequence[FactorCodebook], seed: int | None
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """Starting estimates, as a fresh list, and their winning indices."""
     if seed is None:
-        return [normalize(cb.atoms.sum(axis=0)) for cb in codebooks]
+        return (
+            [cb.start for cb in codebooks],
+            tuple(cb.start_index for cb in codebooks),
+        )
     estimates = []
     for slot, cb in enumerate(codebooks):
         rng = np.random.default_rng((seed, slot))
         weights = rng.standard_normal(len(cb)) + 1j * rng.standard_normal(len(cb))
         estimates.append(normalize(weights @ cb.atoms))
-    return estimates
+    return estimates, _winning(estimates, codebooks)
 
 
 def factorize(
@@ -121,8 +137,9 @@ def factorize(
                 f"codebook {cb.label!r} dimension {cb.dim} != input {s.shape[0]}"
             )
 
-    estimates = _initial_estimates(codebooks, seed)
-    history: list[tuple[int, ...]] = [_winning(estimates, codebooks)]
+    # the sweeps rebind the list's elements, never the arrays in it
+    estimates, start = _initial_estimates(codebooks, seed)
+    history: list[tuple[int, ...]] = [start]
     converged = False
     iteration = 0
 
@@ -132,7 +149,7 @@ def factorize(
             for j, other in enumerate(estimates):
                 if j != k:
                     residual = residual * np.conj(other)
-            coeffs = cb.atoms.conj() @ residual
+            coeffs = cb.conj_atoms @ residual
             # The update is invariant under a global phase rotation of the
             # estimate (the composite constrains only the product), and a
             # rotated estimate defeats the real-part readout.  Fix the

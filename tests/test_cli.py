@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -171,6 +172,26 @@ def test_session_name_that_is_not_utf8_exits_2(saved_session, tmp_path):
     data = bytearray(saved_session)
     data[NAME_LEN_END:NAME_LEN_END + 2] = b"\xff\xfe"
     code, out, err = _run_with_session(tmp_path, bytes(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:io:")
+
+
+def test_session_file_with_a_chunk_stored_twice_exits_2(
+    saved_session, tmp_path
+):
+    key = b"chunk:cell-0"
+    start = saved_session.index(key) - 4
+    assert saved_session.count(key) == 1
+    entry = saved_session[start:start + 4 + len(key) + 16 * DIM]
+    (count,) = struct.unpack("<I", saved_session[TAG_END:COUNT_END])
+    data = (
+        saved_session[:TAG_END]
+        + struct.pack("<I", count + 1)
+        + saved_session[COUNT_END:]
+        + entry
+    )
+    code, out, err = _run_with_session(tmp_path, data)
     assert code == 2
     assert out == ""
     assert err.startswith("ERROR:io:")

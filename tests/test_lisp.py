@@ -1,5 +1,6 @@
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from phasorlisp import (
     UnboundSymbolError,
     decode_residue,
     new_rng,
+    normalize,
     parse_one,
     parse_program,
     random_symbol,
@@ -74,8 +76,9 @@ def test_resolve_names_cons_and_lambda_chunks(session):
         ("(+ 2 3)", 5, "5"),
         # 1 for the form, 3 for its head and the chain (2); 6 for the
         # lambda form's head and parts, 2 to check (x); 1 to resolve the
-        # closure, 5 for params (walked), body and env; 5 for (+ x 1)
-        ("((lambda (x) (+ x 1)) 2)", 23, "3"),
+        # closure, 3 for params, body and env (walking (x) again reads
+        # the session's memo); 5 for (+ x 1)
+        ("((lambda (x) (+ x 1)) 2)", 21, "3"),
     ],
 )
 def test_each_code_vector_is_resolved_once(
@@ -97,6 +100,75 @@ def test_each_code_vector_is_resolved_once(
     assert len(decodes) == 2
     assert session.memory.recalls - before == recalls
     assert session.print_value(value) == printed
+
+
+FACT = (
+    "(define fact (lambda (n) (cond ((eq? n 0) 1)"
+    " (t (* n (fact (- n 1)))))))"
+)
+
+
+def test_a_chunk_part_is_read_once_while_memory_does_not_grow(
+    session, monkeypatch
+):
+    import phasorlisp.lisp
+
+    run(session, FACT)
+    assert run(session, "(fact 4)") == "24"
+    code = session.resolve(session.encode(parse_one("(fact 4)")))
+    unbinds = Counter()
+    real = phasorlisp.lisp.unbind
+
+    def counting(w, u):
+        # a stored chunk is one array, so its identity names it; the
+        # chunks ending ((eq? n 0) 1) and (- n 1) are equal but distinct
+        unbinds[(id(w), u.tobytes())] += 1
+        return real(w, u)
+
+    monkeypatch.setattr(phasorlisp.lisp, "unbind", counting)
+    rows = len(session.memory)
+    # memory grew by the new form's cells, so each memo entry is checked
+    # against them once; the recursion below reads the memo only
+    value = session.eval_vec(code, session.global_env)
+    assert session.print_value(value) == "24"
+    assert len(session.memory) == rows
+    assert unbinds and max(unbinds.values()) == 1
+    unbinds.clear()
+    session.eval_vec(code, session.global_env)
+    assert not unbinds
+
+
+def test_memo_sees_entries_added_later(session):
+    nil = session.symbol("nil")
+    # no entry matches the head: unknown until the head itself is stored
+    head = random_symbol(new_rng(5), session.config.dim)
+    pair = session.cons(head, nil)
+    assert session.print_value(pair).startswith("(#<vector sim=")
+    session.memory.add("late", head)
+    assert session.print_value(pair) == "(late)"
+    # a head near the symbol a reads as a until a closer entry is stored
+    noise = random_symbol(new_rng(6), session.config.dim)
+    near = normalize(session.symbol("a") + noise)
+    pair = session.cons(near, nil)
+    assert session.print_value(pair) == "(a)"
+    session.memory.add("closer", near)
+    assert session.print_value(pair) == "(closer)"
+
+
+def test_memo_misses_go_through_resolve(session, monkeypatch):
+    code = session.resolve(session.encode(parse_one("(a b)")))
+    calls = []
+    real = Session.resolve
+
+    def counting(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(Session, "resolve", counting)
+    assert session._unbind_role(code, "#head").name == "a"
+    assert len(calls) == 1
+    assert session._unbind_role(code, "#head").name == "a"
+    assert len(calls) == 1
 
 
 def test_force_decode_confidence(session):

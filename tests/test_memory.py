@@ -9,6 +9,7 @@ from phasorlisp import (
     UnboundSymbolError,
     new_rng,
     random_symbol,
+    similarity,
     superpose,
 )
 
@@ -98,6 +99,24 @@ def test_chunk_storage_and_deref(mem, rng):
     name = mem.recall(ptr).name
     assert name == "cell-0"
     assert np.array_equal(mem.chunk(name), payload)
+
+
+def test_chunks_are_write_once(mem, rng):
+    payload = random_symbol(rng, D)
+    mem.add_chunk("cell-0", random_symbol(rng, D), payload)
+    with pytest.raises(ValueError):
+        mem.attach_chunk("cell-0", random_symbol(rng, D))
+    assert np.array_equal(mem.chunk("cell-0"), payload)
+
+
+def test_best_since_scores_only_later_entries(mem, rng):
+    early, late = random_symbol(rng, D), random_symbol(rng, D)
+    mem.add("early", early)
+    mem.add("late", late)
+    before = mem.recalls
+    assert mem.best_since(early, 1) == pytest.approx(similarity(late, early))
+    assert mem.best_since(late, 1) == pytest.approx(1.0)
+    assert mem.recalls == before
 
 
 def test_deref_without_attached_chunk(mem, rng):

@@ -1,0 +1,96 @@
+"""Whole sessions from the benchmark's workload plans.
+
+``perfbench/workloads.py`` computes each form's expected output without
+phasorlisp, so a plan doubles as a reference transcript.
+"""
+
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+from phasorlisp import PhasorError, Session, unbind  # noqa: E402
+
+
+class Unmemoized(Session):
+    """Resolves every chunk part afresh, as before the structure memo."""
+
+    def _unbind_role(self, r, role):
+        return self.resolve(unbind(self.memory.chunk(r.name), self._role(role)))
+
+
+ACCEPTANCE = (
+    "(car (cons 1 nil))",
+    "((lambda (x) (* x x)) 6)",
+    "((lambda (x) ((lambda (y) (+ x y)) 2)) 3)",
+    "(define length (lambda (l) (cond ((eq? l nil) 0)"
+    " (t (+ 1 (length (cdr l)))))))",
+    "(length (quote (1 2 3 4 5)))",
+    "(cons 1 (cons 2 (cons 3 nil)))",
+    "(define fact (lambda (n) (cond ((eq? n 0) 1)"
+    " (t (* n (fact (- n 1)))))))",
+    "(fact 4)",
+    "(fact 5)",
+    "(define xs (quote (a (b 2) c)))",
+    "(car (cdr xs))",
+    "(cons (quote a) (quote b))",
+    "(/ 44 4)",
+    "(car 1)",
+    "((lambda (x y) x) 1)",
+)
+
+
+def _transcript(session, sources):
+    out = []
+    for source in sources:
+        try:
+            out.extend(session.eval_source(source))
+        except PhasorError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def _run(cls, sources, check):
+    """Transcript, saved bytes, and the check form on the restored copy."""
+    session = cls()
+    printed = _transcript(session, sources)
+    buf = io.BytesIO()
+    session.save(buf)
+    restored = cls.restore(io.BytesIO(buf.getvalue()))
+    return printed, buf.getvalue(), _transcript(restored, [check])
+
+
+def _plan_sources(workload):
+    plan = WORKLOADS[workload].plan(1, 0)
+    return [f.source for f in plan.forms], plan.check.source
+
+
+@pytest.mark.parametrize(
+    "sources, check",
+    [
+        pytest.param(ACCEPTANCE, "(length xs)", id="acceptance"),
+        *(
+            pytest.param(*_plan_sources(w), id=w)
+            for w in ("programs", "lists", "repl")
+        ),
+    ],
+)
+def test_memo_leaves_transcripts_and_session_files_unchanged(sources, check):
+    assert _run(Session, sources, check) == _run(Unmemoized, sources, check)
+
+
+def test_repl_seed_2010_reads_the_right_integer():
+    # The resonator's default start settles on 98 here, whose re-encode
+    # check (0.119) clears the 0.1 floor; a restart finds 102 at 1.05.
+    plan = WORKLOADS["repl"].plan(2010, 0)
+    session = Session()
+    for form in plan.forms[:52]:
+        assert list(session.eval_source(form.source)) == [form.expected]
+    form = plan.forms[52]
+    assert form.source == "(cdr d23)"
+    assert list(session.eval_source(form.source)) == ["(-3 s6)"]
