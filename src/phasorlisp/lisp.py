@@ -18,7 +18,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple
+from typing import IO, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -77,6 +77,10 @@ PRIMITIVES = {
 _ROLE_NAMES = ("#head", "#tail", "#params", "#body", "#env")
 _TAG_NAMES = ("#cons", "#lambda")
 
+#: Most runtime values one session keeps resolved; the oldest goes first.
+#: A key is a whole vector's bytes (16 KB at dim 1000).
+VALUE_MEMO_SIZE = 64
+
 
 @dataclass(frozen=True)
 class Config:
@@ -105,6 +109,8 @@ class Config:
             raise ConfigError(f"unknown decode method {self.decode!r}")
         if not 0.0 <= self.floor < 1.0:
             raise ConfigError(f"floor must lie in [0, 1), got {self.floor}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -118,9 +124,10 @@ class Resolved:
     re-encoded) form, free of the noise the query may have carried.
     ``similarity`` is the recall score of the winning memory entry, or
     ``None`` for an integer or an unknown vector.  The evaluator hands
-    code from step to step as ``Resolved``, and ``Session._unbind_role``
-    resolves each part of a chunk once per session, so each code vector is
-    cleaned up once.
+    code from step to step as ``Resolved``, ``Session._unbind_role``
+    resolves each part of a chunk once per session, and
+    ``Session._resolve_value`` each recent runtime value, so a vector the
+    session has already cleaned up is not cleaned up again.
     """
 
     kind: str
@@ -186,6 +193,8 @@ class Session:
         self._env_n = 0
         #: (chunk name, role) -> what the role resolved to; see _unbind_role
         self._readings: dict[tuple[str, str], _Reading] = {}
+        #: a value's exact bytes -> what it resolved to; see _resolve_value
+        self._values: dict[bytes, _Reading] = {}
 
     def _bootstrap(self) -> None:
         dim = self.config.dim
@@ -296,36 +305,66 @@ class Session:
                     break
         return Resolved(kind, hit.name, None, hit.vector, hit.similarity)
 
-    def _unbind_role(self, r: Resolved, role: str) -> Resolved:
-        """``resolve`` of what ``role`` holds in the chunk ``r`` names.
+    def _memoized_resolve(
+        self, memo: dict, key: object, vector: Callable[[], np.ndarray]
+    ) -> Resolved:
+        """``resolve(vector())``, answered from ``memo[key]`` while exact.
 
-        The reading is memoized per (chunk name, role), and a memo hit
-        returns exactly what a fresh ``resolve`` would.  A chunk is written
-        once, so the unbound vector never changes, and an integer reading
-        depends on nothing else.  Memory is append-only and ``np.argmax``
-        keeps the first maximum, so a recalled entry stays the winner
-        unless an entry added since scores at least as high.  Only those
-        entries are scored; if one ties or beats the remembered score, the
-        role is resolved in full.  Unknown readings are not kept.  The memo
-        holds names and numbers, never arrays, so it pins no memory buffer.
+        ``key`` must stand for one vector for the whole session.  A hit
+        returns exactly what a fresh ``resolve`` would.  An integer reading
+        is final: it depends only on the vector and on the session's
+        codebook and config.  Memory is append-only and
+        ``np.argmax`` keeps the first maximum, so a recalled entry stays
+        the winner unless an entry added since scores at least as high.
+        Only those entries are scored; if one ties or beats the remembered
+        score, the vector is resolved in full.  Unknown readings are not
+        kept, and misses go through ``resolve``.  A reading holds names and
+        numbers, never arrays, so it pins no memory buffer.
         """
-        key = (r.name, role)
         rows = len(self.memory)
-        known = self._readings.get(key)
+        known = memo.get(key)
         if known is not None and (known.kind == "int" or known.rows == rows):
             return self._reread(known)
-        v = unbind(self.memory.chunk(r.name), self._role(role))
+        v = vector()
         if (
             known is not None
             and self.memory.best_since(v, known.rows) < known.similarity
         ):
-            self._readings[key] = known._replace(rows=rows)
+            memo[key] = known._replace(rows=rows)
             return self._reread(known)
         out = self.resolve(v)
         if out.kind != "unknown":
-            self._readings[key] = _Reading(
+            memo[key] = _Reading(
                 out.kind, out.name, out.value, out.similarity, rows
             )
+        return out
+
+    def _unbind_role(self, r: Resolved, role: str) -> Resolved:
+        """``resolve`` of what ``role`` holds in the chunk ``r`` names.
+
+        Memoized per (chunk name, role) by ``_memoized_resolve``: a chunk
+        is written once, so the vector unbound from it never changes.
+        """
+        return self._memoized_resolve(
+            self._readings,
+            (r.name, role),
+            lambda: unbind(self.memory.chunk(r.name), self._role(role)),
+        )
+
+    def _resolve_value(self, v: np.ndarray) -> Resolved:
+        """``resolve`` of a runtime value, memoized by its exact bytes.
+
+        A session meets the same value again and again: the closure it
+        applies, the list ``car`` and ``cdr`` walk, the operands of
+        ``eq?``.  The key is the vector's whole byte string, with no
+        digest, so only a bit-identical vector hits, and
+        ``_memoized_resolve`` keeps the hit exact.  At most
+        ``VALUE_MEMO_SIZE`` values are kept; the oldest goes first.
+        """
+        memo = self._values
+        out = self._memoized_resolve(memo, v.tobytes(), lambda: v)
+        if len(memo) > VALUE_MEMO_SIZE:
+            del memo[next(iter(memo))]
         return out
 
     def _reread(self, known: _Reading) -> Resolved:
@@ -471,7 +510,7 @@ class Session:
 
     def apply(self, operator: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
         """Apply a closure value to already-evaluated arguments."""
-        r = self.resolve(operator)
+        r = self._resolve_value(operator)
         if r.kind == "lambda":
             return self._apply_closure(r, args)
         raise NotApplicableError(f"cannot apply a value of kind {r.kind}")
@@ -522,8 +561,8 @@ class Session:
         return self.symbol("t") if flag else self.symbol("f")
 
     def _eq(self, u: np.ndarray, v: np.ndarray) -> bool:
-        ru = self.resolve(u)
-        rv = self.resolve(v)
+        ru = self._resolve_value(u)
+        rv = self._resolve_value(v)
         if ru.kind == "int" and rv.kind == "int":
             # The shared int tag alone puts any two integers above the
             # threshold, so integers are compared by their tag-stripped
@@ -533,10 +572,10 @@ class Session:
         return similarity(u, v) > self.config.theta
 
     def _is_pair(self, v: np.ndarray) -> bool:
-        return self.resolve(v).kind == "cons"
+        return self._resolve_value(v).kind == "cons"
 
     def _select(self, v: np.ndarray, role: str, who: str) -> np.ndarray:
-        r = self.resolve(v)
+        r = self._resolve_value(v)
         if r.kind != "cons":
             raise LispTypeError(f"{who} expects a pair")
         return self._unbind_role(r, role).vector
@@ -548,7 +587,7 @@ class Session:
         return self._select(v, "#tail", "cdr")
 
     def is_nil(self, v: np.ndarray) -> bool:
-        return self.resolve(v).kind == "nil"
+        return self._resolve_value(v).kind == "nil"
 
     def force_decode(self, v: np.ndarray) -> tuple[int, float]:
         """Best integer reading of a vector and its confidence.
@@ -588,13 +627,18 @@ class Session:
     def prim_mul(self, u, v) -> np.ndarray:
         a = self._require_int(u, "*")
         b = self._require_int(v, "*")
-        return mul_bind(self.codebook, a, b, method=self.config.decode) + self.int_tag
+        product = mul_bind(
+            self.codebook, a, b, method=self.config.decode, floor=self.config.floor
+        )
+        return product + self.int_tag
 
     def prim_div(self, u, v) -> np.ndarray:
         a = self._require_int(u, "/")
         b = self._require_int(v, "/")
-        inv = mod_inverse(self.codebook, b, method=self.config.decode)
-        return mul_bind(self.codebook, a, inv, method=self.config.decode) + self.int_tag
+        method, floor = self.config.decode, self.config.floor
+        inv = mod_inverse(self.codebook, b, method=method, floor=floor)
+        quotient = mul_bind(self.codebook, a, inv, method=method, floor=floor)
+        return quotient + self.int_tag
 
     # -- printing -------------------------------------------------------
 
@@ -612,7 +656,7 @@ class Session:
         a list nested too deeply raises ``RecursionDepthError``.
         """
         with _depth_guard("printing"):
-            return self._format(self.resolve(v))
+            return self._format(self._resolve_value(v))
 
     def _format(self, r: Resolved) -> str:
         if r.kind == "int":

@@ -115,6 +115,16 @@ def test_small_dimension_exit_2():
     assert err.startswith("ERROR:config:")
 
 
+def test_negative_seed_exits_2(tmp_path):
+    script = tmp_path / "x.vl"
+    script.write_text("(+ 1 2)")
+    code, out, err = cli("--seed", "-1", "run", str(script))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:config:")
+    assert "Traceback" not in err
+
+
 # Session file layout at the CLI defaults (dim 1000, moduli 3,5,7): the
 # codebook block, the entry count, then the first entry, which is always
 # the integer tag stored as "symbol:int".

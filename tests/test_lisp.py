@@ -8,6 +8,7 @@ import pytest
 from phasorlisp import (
     ArityError,
     Config,
+    ConfigError,
     DecodeError,
     EvalError,
     LispTypeError,
@@ -144,15 +145,19 @@ def test_memo_sees_entries_added_later(session):
     head = random_symbol(new_rng(5), session.config.dim)
     pair = session.cons(head, nil)
     assert session.print_value(pair).startswith("(#<vector sim=")
+    assert session.print_value(head).startswith("#<vector sim=")
     session.memory.add("late", head)
     assert session.print_value(pair) == "(late)"
+    assert session.print_value(head) == "late"
     # a head near the symbol a reads as a until a closer entry is stored
     noise = random_symbol(new_rng(6), session.config.dim)
     near = normalize(session.symbol("a") + noise)
     pair = session.cons(near, nil)
     assert session.print_value(pair) == "(a)"
+    assert session.print_value(near) == "a"
     session.memory.add("closer", near)
     assert session.print_value(pair) == "(closer)"
+    assert session.print_value(near) == "closer"
 
 
 def test_memo_misses_go_through_resolve(session, monkeypatch):
@@ -169,6 +174,44 @@ def test_memo_misses_go_through_resolve(session, monkeypatch):
     assert len(calls) == 1
     assert session._unbind_role(code, "#head").name == "a"
     assert len(calls) == 1
+    value = session.symbol("b")
+    assert session._resolve_value(value).name == "b"
+    assert len(calls) == 2
+    # keyed by the bytes, not by the array
+    assert session._resolve_value(value.copy()).name == "b"
+    assert len(calls) == 2
+
+
+def test_a_repeated_value_is_decoded_once_per_session(session, monkeypatch):
+    import phasorlisp.lisp
+
+    run(session, "(define z (- 7 2))")
+    decodes = []
+    real = phasorlisp.lisp.decode_residue
+
+    def counting(*args, **kwargs):
+        decodes.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(phasorlisp.lisp, "decode_residue", counting)
+    # eq? resolves both operands: the first reading of z decodes it, the
+    # three later ones read the session's memo
+    assert run(session, "(eq? z z)") == "t"
+    assert run(session, "(eq? z z)") == "t"
+    assert len(decodes) == 1
+
+
+def test_value_memo_keeps_at_most_its_bound(session):
+    from phasorlisp.lisp import VALUE_MEMO_SIZE
+
+    values = [session.symbol(f"s{i}") for i in range(VALUE_MEMO_SIZE + 8)]
+    for v in values:
+        assert not session.is_nil(v)
+        assert len(session._values) <= VALUE_MEMO_SIZE
+    assert len(session._values) == VALUE_MEMO_SIZE
+    # the oldest went first
+    assert values[7].tobytes() not in session._values
+    assert values[8].tobytes() in session._values
 
 
 def test_force_decode_confidence(session):
@@ -206,6 +249,19 @@ def test_arithmetic_matches_modular_oracle(session):
         assert got.value == (a + b) % 105
         got = session.resolve(session.eval_expr(parse_one(f"(* {a} {b})")))
         assert got.value == (a * b) % 105
+
+
+def test_multiplication_and_division_decode_with_the_session_floor():
+    session = Session(Config(floor=0.5))
+    noise = random_symbol(new_rng(7), session.config.dim)
+    weak = 0.3 * (session.encode_int(2) - session.int_tag) + noise + session.int_tag
+    # resolve will not read weak as an integer at this floor, nor may * or /
+    assert session.resolve(weak).kind != "int"
+    three = session.encode_int(3)
+    with pytest.raises(DecodeError):
+        session.prim_mul(three, weak)
+    with pytest.raises(DecodeError):
+        session.prim_div(three, weak)
 
 
 def test_division_without_inverse_raises(session):
@@ -584,6 +640,12 @@ def test_config_rejects_bad_theta():
         Config(theta=0.0)
     with pytest.raises(Exception):
         Config(theta=1.5)
+
+
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError):
+        Config(seed=-1)
+    assert Config(seed=0).seed == 0
 
 
 def test_config_rejects_unknown_decode_method():

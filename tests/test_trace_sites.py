@@ -32,3 +32,5 @@ def test_every_wrapped_site_fires_on_a_small_session(tmp_path):
         restored = Session.restore(path)
         assert list(restored.eval_source("(sq 4)")) == ["16"]
     assert tracing.self_check("repl", tracer) == []
+    # programs also requires residue's own decode_residue, reached by *
+    assert tracing.self_check("programs", tracer) == []

@@ -18,10 +18,13 @@ from phasorlisp import PhasorError, Session, unbind  # noqa: E402
 
 
 class Unmemoized(Session):
-    """Resolves every chunk part afresh, as before the structure memo."""
+    """Resolves every chunk part and every value afresh, as without memos."""
 
     def _unbind_role(self, r, role):
         return self.resolve(unbind(self.memory.chunk(r.name), self._role(role)))
+
+    def _resolve_value(self, v):
+        return self.resolve(v)
 
 
 ACCEPTANCE = (
