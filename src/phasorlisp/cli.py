@@ -194,6 +194,8 @@ def run_script(session: Session, args: argparse.Namespace) -> int:
         source = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise SessionIOError(f"no such file: {path}")
+    except UnicodeDecodeError as exc:
+        raise SessionIOError(f"{path} is not UTF-8 text: {exc}")
     for output in session.eval_source(source):
         print(output)
     _save_session(session, args)
@@ -235,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, InvalidModuliError, SessionIOError) as exc:
         print(f"ERROR:{exc.kind}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"ERROR:io: {exc}", file=sys.stderr)
         return 2
     except PhasorError as exc:

@@ -60,18 +60,19 @@ __all__ = ["Config", "Resolved", "Session", "SPECIAL_FORMS", "PRIMITIVES"]
 
 SPECIAL_FORMS = ("quote", "cond", "lambda", "define")
 
-#: primitive name -> argument count (all primitives are fixed-arity)
+#: primitive name -> (argument count, ``Session`` method that applies it);
+#: the one list of primitives, all fixed-arity
 PRIMITIVES = {
-    "cons": 2,
-    "car": 1,
-    "cdr": 1,
-    "atom?": 1,
-    "eq?": 2,
-    "int?": 1,
-    "+": 2,
-    "-": 2,
-    "*": 2,
-    "/": 2,
+    "cons": (2, "cons"),
+    "car": (1, "car"),
+    "cdr": (1, "cdr"),
+    "atom?": (1, "prim_atom"),
+    "eq?": (2, "prim_eq"),
+    "int?": (1, "prim_int_test"),
+    "+": (2, "prim_add"),
+    "-": (2, "prim_sub"),
+    "*": (2, "prim_mul"),
+    "/": (2, "prim_div"),
 }
 
 _ROLE_NAMES = ("#head", "#tail", "#params", "#body", "#env")
@@ -188,28 +189,34 @@ class Session:
         self.memory = CleanupMemory(config.dim, floor=config.floor)
         self.environments: dict[str, Environment] = {}
         self.display_raw = False
-        self._cell_n = 0
-        self._closure_n = 0
-        self._env_n = 0
+        #: name prefix -> number of the next cell-, closure- or env- entry
+        self._counts = {"cell": 0, "closure": 0, "env": 0}
         #: (chunk name, role) -> what the role resolved to; see _unbind_role
         self._readings: dict[tuple[str, str], _Reading] = {}
         #: a value's exact bytes -> what it resolved to; see _resolve_value
         self._values: dict[bytes, _Reading] = {}
 
     def _bootstrap(self) -> None:
-        dim = self.config.dim
         self.memory.add("int", self.codebook.tag)
         for name in ("t", "f", "nil"):
-            self.memory.add(name, random_symbol(self.rng, dim))
+            self._mint(name, "symbol")
         for name in _ROLE_NAMES + _TAG_NAMES:
-            self.memory.add(name, random_symbol(self.rng, dim), kind="role")
+            self._mint(name, "role")
         self.global_env = Environment()
         self._register_env(self.global_env)
 
+    def _mint(self, name: str, kind: str) -> None:
+        """Store a fresh random vector under ``name``."""
+        self.memory.add(name, random_symbol(self.rng, self.config.dim), kind=kind)
+
+    def _next_name(self, prefix: str) -> str:
+        n = self._counts[prefix]
+        self._counts[prefix] = n + 1
+        return f"{prefix}-{n}"
+
     def _register_env(self, env: Environment) -> str:
-        name = f"env-{self._env_n}"
-        self._env_n += 1
-        self.memory.add(name, random_symbol(self.rng, self.config.dim), kind="env")
+        name = self._next_name("env")
+        self._mint(name, "env")
         self.environments[name] = env
         env.handle = name
         return name
@@ -228,7 +235,7 @@ class Session:
     def symbol(self, name: str) -> np.ndarray:
         """Interned vector for ``name``, minting a fresh one if unknown."""
         if name not in self.memory:
-            self.memory.add(name, random_symbol(self.rng, self.config.dim))
+            self._mint(name, "symbol")
         return self.memory.vector(name)
 
     def _role(self, name: str) -> np.ndarray:
@@ -242,15 +249,22 @@ class Session:
 
     def cons(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
         """Store a pair chunk and return its fresh pointer symbol."""
-        composite = (
-            self._role("#cons")
-            + bind(self._role("#head"), head)
-            + bind(self._role("#tail"), tail)
-        )
-        name = f"cell-{self._cell_n}"
-        self._cell_n += 1
+        return self._store_chunk("cell", "#cons", ("#head", head), ("#tail", tail))
+
+    def _store_chunk(
+        self, prefix: str, tag: str, *parts: tuple[str, np.ndarray]
+    ) -> np.ndarray:
+        """Store a chunk and return its fresh pointer symbol.
+
+        The chunk is ``tag`` plus one role (x) filler binding per part,
+        summed left to right; the pointer entry is named ``<prefix>-<n>``.
+        """
+        composite = self._role(tag)
+        for role, filler in parts:
+            # ``+``, not ``+=``: the first operand is the tag's memory row
+            composite = composite + bind(self._role(role), filler)
         pointer = random_symbol(self.rng, self.config.dim)
-        self.memory.add_chunk(name, pointer, composite)
+        self.memory.add_chunk(self._next_name(prefix), pointer, composite)
         return pointer
 
     def encode(self, expr: SExpr) -> np.ndarray:
@@ -430,15 +444,15 @@ class Session:
             try:
                 operator = env.lookup(name)
             except UnboundSymbolError:
-                arity = PRIMITIVES.get(name)
-                if arity is None:
+                if name not in PRIMITIVES:
                     raise
+                arity, method = PRIMITIVES[name]
                 if len(rest) != arity:
                     raise ArityError(
                         f"{name} expects {arity} arguments, got {len(rest)}"
                     )
-                args = [self.eval_vec(a, env) for a in rest]
-                return self._apply_primitive(name, args)
+                # through the instance, so a class-level wrapper sees the call
+                return getattr(self, method)(*[self.eval_vec(a, env) for a in rest])
         else:
             operator = self.eval_vec(head, env)
         args = [self.eval_vec(a, env) for a in rest]
@@ -496,17 +510,13 @@ class Session:
     ) -> np.ndarray:
         self._param_names(params)  # reject malformed parameter lists now
         handle = self._handle_for(env)
-        composite = (
-            self._role("#lambda")
-            + bind(self._role("#params"), params.vector)
-            + bind(self._role("#body"), body.vector)
-            + bind(self._role("#env"), self.memory.vector(handle))
+        return self._store_chunk(
+            "closure",
+            "#lambda",
+            ("#params", params.vector),
+            ("#body", body.vector),
+            ("#env", self.memory.vector(handle)),
         )
-        name = f"closure-{self._closure_n}"
-        self._closure_n += 1
-        pointer = random_symbol(self.rng, self.config.dim)
-        self.memory.add_chunk(name, pointer, composite)
-        return pointer
 
     def apply(self, operator: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
         """Apply a closure value to already-evaluated arguments."""
@@ -534,33 +544,13 @@ class Session:
 
     # -- primitives -----------------------------------------------------
 
-    def _apply_primitive(self, name: str, args: list[np.ndarray]) -> np.ndarray:
-        if name == "cons":
-            return self.cons(args[0], args[1])
-        if name == "car":
-            return self._select(args[0], "#head", "car")
-        if name == "cdr":
-            return self._select(args[0], "#tail", "cdr")
-        if name == "atom?":
-            return self._bool(not self._is_pair(args[0]))
-        if name == "eq?":
-            return self._bool(self._eq(args[0], args[1]))
-        if name == "int?":
-            return self.prim_int_test(args[0])
-        if name == "+":
-            return self.prim_add(args[0], args[1])
-        if name == "-":
-            return self.prim_sub(args[0], args[1])
-        if name == "*":
-            return self.prim_mul(args[0], args[1])
-        if name == "/":
-            return self.prim_div(args[0], args[1])
-        raise EvalError(f"unknown primitive {name!r}")
-
     def _bool(self, flag: bool) -> np.ndarray:
         return self.symbol("t") if flag else self.symbol("f")
 
-    def _eq(self, u: np.ndarray, v: np.ndarray) -> bool:
+    def prim_atom(self, v: np.ndarray) -> np.ndarray:
+        return self._bool(self._resolve_value(v).kind != "cons")
+
+    def prim_eq(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         ru = self._resolve_value(u)
         rv = self._resolve_value(v)
         if ru.kind == "int" and rv.kind == "int":
@@ -569,10 +559,7 @@ class Session:
             # codes instead.
             u = ru.vector - self.int_tag
             v = rv.vector - self.int_tag
-        return similarity(u, v) > self.config.theta
-
-    def _is_pair(self, v: np.ndarray) -> bool:
-        return self._resolve_value(v).kind == "cons"
+        return self._bool(similarity(u, v) > self.config.theta)
 
     def _select(self, v: np.ndarray, role: str, who: str) -> np.ndarray:
         r = self._resolve_value(v)
@@ -673,11 +660,8 @@ class Session:
             return "(" + text + ")"
         if r.kind == "pointer":
             return f"#<chunk {r.name}>"
-        try:
-            best = self.memory.recall(r.vector, floor=-1.0).similarity
-        except MemoryEmptyError:
-            best = 0.0
-        return f"#<vector sim={best:.3f}>"
+        # not a recall: a session always holds its bootstrap entries
+        return f"#<vector sim={self.memory.best_since(r.vector, 0):.3f}>"
 
     # -- persistence ----------------------------------------------------
 
@@ -725,7 +709,10 @@ class Session:
         The file's dimension and moduli override the passed config; the
         generator is reseeded on a stream derived from the seed and the
         restored entry count so freshly minted symbols cannot replay
-        vectors the saved session already used.
+        vectors the saved session already used.  Entries are applied in
+        one pass, in the order ``save`` writes them: an entry that names a
+        pointer or scope the file has not yet stored raises
+        ``SessionIOError``.
         """
         if isinstance(src, (str, Path)):
             with open(src, "rb") as fh:
@@ -736,9 +723,7 @@ class Session:
         (count,) = struct.unpack("<I", read_exact(src, 4))
         sess = cls.__new__(cls)
         sess._setup(cfg, codebook, np.random.default_rng((cfg.seed, count)))
-        chunks: list[tuple[str, np.ndarray]] = []
-        parents: list[tuple[str, str]] = []
-        binds: list[tuple[str, str, np.ndarray]] = []
+        envs = sess.environments
         try:
             for _ in range(count):
                 (name_len,) = struct.unpack("<I", read_exact(src, 4))
@@ -748,28 +733,21 @@ class Session:
                 if prefix in ("symbol", "pointer", "role", "env"):
                     sess.memory.add(rest, vec, kind=prefix)
                     sess._note_counter(rest)
+                    if prefix == "env":
+                        env = envs[rest] = Environment()
+                        env.handle = rest
                 elif prefix == "chunk":
-                    chunks.append((rest, vec))
+                    sess.memory.attach_chunk(rest, vec)
                 elif prefix == "parent":
                     handle, _, parent = rest.partition(":")
-                    parents.append((handle, parent))
+                    envs[handle].parent = envs[parent]
                 elif prefix == "bind":
                     handle, _, bname = rest.partition(":")
-                    binds.append((handle, bname, vec))
+                    envs[handle].define(bname, vec)
                 else:
                     raise SessionIOError(f"unknown session entry {name!r}")
-            for name, composite in chunks:
-                sess.memory.attach_chunk(name, composite)
             for name in sess.memory.names(kind="pointer"):
                 sess.memory.chunk(name)  # every pointer names a stored chunk
-            for handle in sess.memory.names(kind="env"):
-                env = Environment()
-                env.handle = handle
-                sess.environments[handle] = env
-            for handle, parent in parents:
-                sess.environments[handle].parent = sess.environments[parent]
-            for handle, bname, vec in binds:
-                sess.environments[handle].define(bname, vec)
         except (KeyError, ValueError) as exc:
             # a name that is not UTF-8 (a ValueError), is stored twice, or
             # refers to an entry the file does not hold
@@ -780,12 +758,7 @@ class Session:
         return sess
 
     def _note_counter(self, name: str) -> None:
-        for prefix, attr in (
-            ("cell-", "_cell_n"),
-            ("closure-", "_closure_n"),
-            ("env-", "_env_n"),
-        ):
-            if name.startswith(prefix) and name[len(prefix):].isdigit():
-                n = int(name[len(prefix):]) + 1
-                if n > getattr(self, attr):
-                    setattr(self, attr, n)
+        """Keep the next minted ``<prefix>-<n>`` name past a restored one."""
+        prefix, _, n = name.partition("-")
+        if prefix in self._counts and n.isdigit():
+            self._counts[prefix] = max(self._counts[prefix], int(n) + 1)

