@@ -210,7 +210,10 @@ class Session:
         self.memory.add(name, random_symbol(self.rng, self.config.dim), kind=kind)
 
     def _next_name(self, prefix: str) -> str:
+        """Next free ``<prefix>-<n>``, past any user symbol of that name."""
         n = self._counts[prefix]
+        while f"{prefix}-{n}" in self.memory:
+            n += 1
         self._counts[prefix] = n + 1
         return f"{prefix}-{n}"
 
@@ -233,9 +236,15 @@ class Session:
         return self.codebook.tag
 
     def symbol(self, name: str) -> np.ndarray:
-        """Interned vector for ``name``, minting a fresh one if unknown."""
+        """Interned vector for ``name``, minting a fresh one if unknown.
+
+        The name of a pointer, scope handle or role is reserved: a program
+        that names one would forge a reference to it.
+        """
         if name not in self.memory:
             self._mint(name, "symbol")
+        elif self.memory.kind(name) != "symbol":
+            raise EvalError(f"{name!r} names an internal entry, not a symbol")
         return self.memory.vector(name)
 
     def _role(self, name: str) -> np.ndarray:
@@ -261,7 +270,7 @@ class Session:
         """
         composite = self._role(tag)
         for role, filler in parts:
-            # ``+``, not ``+=``: the first operand is the tag's memory row
+            # ``+``, not ``+=``: the first operand is the tag's read-only row
             composite = composite + bind(self._role(role), filler)
         pointer = random_symbol(self.rng, self.config.dim)
         self.memory.add_chunk(self._next_name(prefix), pointer, composite)
@@ -327,9 +336,10 @@ class Session:
         ``key`` must stand for one vector for the whole session.  A hit
         returns exactly what a fresh ``resolve`` would.  An integer reading
         is final: it depends only on the vector and on the session's
-        codebook and config.  Memory is append-only and
-        ``np.argmax`` keeps the first maximum, so a recalled entry stays
-        the winner unless an entry added since scores at least as high.
+        codebook and config.  Memory is append-only and recall keeps the
+        first of equal best matches under one per-row float64 kernel, so a
+        recalled entry stays the winner unless an entry added since scores
+        at least as high.
         Only those entries are scored; if one ties or beats the remembered
         score, the vector is resolved in full.  Unknown readings are not
         kept, and misses go through ``resolve``.  A reading holds names and
@@ -732,7 +742,8 @@ class Session:
                 prefix, _, rest = name.partition(":")
                 if prefix in ("symbol", "pointer", "role", "env"):
                     sess.memory.add(rest, vec, kind=prefix)
-                    sess._note_counter(rest)
+                    if prefix != "symbol":  # a user symbol may look like one
+                        sess._note_counter(rest)
                     if prefix == "env":
                         env = envs[rest] = Environment()
                         env.handle = rest

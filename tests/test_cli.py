@@ -131,6 +131,23 @@ def test_runtime_error_exits_1(tmp_path):
     assert err.startswith("ERROR:unbound:")
 
 
+def test_a_symbol_named_like_a_cell_leaves_the_cell_a_fresh_name(tmp_path):
+    script = tmp_path / "prog.vl"
+    script.write_text("(quote cell-0)\n(cons 1 2)\n")
+    code, out, err = cli("run", str(script))
+    assert (code, err) == (0, "")
+    assert out == "cell-0\n(1 . 2)\n"
+
+
+def test_a_program_cannot_name_an_internal_pointer(tmp_path):
+    script = tmp_path / "prog.vl"
+    script.write_text("(define x (quote (a b)))\n(car (quote cell-1))\n")
+    code, out, err = cli("run", str(script))
+    assert code == 1
+    assert out == "x\n"
+    assert err.startswith("ERROR:eval: 'cell-1' names an internal entry")
+
+
 def test_bad_moduli_exit_2():
     code, _, err = cli("--moduli", "4,6", "repl", stdin="")
     assert code == 2

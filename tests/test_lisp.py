@@ -602,6 +602,19 @@ def test_restored_session_keeps_defining(session, tmp_path):
     assert "closure-2" in other.memory
 
 
+def test_a_restored_session_names_cells_as_the_live_one_does(session):
+    # a user symbol that looks like a cell name does not move the counter
+    assert run(session, "(quote cell-40)") == "cell-40"
+    buf = io.BytesIO()
+    session.save(buf)
+    other = Session.restore(io.BytesIO(buf.getvalue()))
+    for s in (session, other):
+        assert run(s, "(cons 1 2)") == "(1 . 2)"
+        with pytest.raises(EvalError, match="'cell-5' names an internal entry"):
+            run(s, "(quote cell-5)")
+    assert other._counts == session._counts
+
+
 def test_restore_rejects_a_binding_ahead_of_its_scope(session):
     run(session, "(define x 5)")
     buf = io.BytesIO()

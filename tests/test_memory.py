@@ -145,6 +145,105 @@ def test_growth_past_initial_capacity(rng):
     assert mem.recall(vecs["n250"]).name == "n250"
 
 
+def test_a_vector_bound_before_growth_is_still_the_stored_row(mem, rng):
+    mem.add("a", random_symbol(rng, D))
+    bound = mem.vector("a")
+    for i in range(300):  # several growths of the table
+        mem.add(f"n{i}", random_symbol(rng, D))
+    # the binding holds a view of the live row, not of a dropped buffer
+    assert np.shares_memory(bound, mem.vector("a"))
+    assert np.shares_memory(mem.recall(bound).vector, bound)
+
+
+def test_stored_rows_are_read_only(session):
+    v = session.memory.vector("#cons")
+    before = v.copy()
+    with pytest.raises(ValueError):
+        v += 1
+    assert np.array_equal(session.memory.vector("#cons"), before)
+    hit = session.memory.recall(before)
+    with pytest.raises(ValueError):
+        hit.vector[0] = 0
+
+
+# -- exactness of the complex64 scan -----------------------------------
+
+
+def test_a_near_tie_inside_the_bound_goes_to_the_float64_winner(mem, rng):
+    a = random_symbol(rng, D)
+    # an element whose complex64 rounding a 1e-9 phase nudge leaves alone
+    k = next(
+        i for i in range(D)
+        if np.complex64(a[i]) == np.complex64(a[i] * np.exp(1e-9j))
+    )
+    b = a.copy()
+    b[k] = a[k] * np.exp(1e-9j)
+    query = a.copy()
+    query[k] = a[k] * -1j  # makes the nudge cost b about 1e-9 / D
+    mem.add("b", b)
+    mem.add("a", a)
+    # complex64 alone sees two equal rows and would keep the first, b
+    assert np.array_equal(b.astype(np.complex64), a.astype(np.complex64))
+    assert similarity(b, query) < similarity(a, query)
+    hit = mem.recall(query)
+    assert hit.name == "a"
+    assert hit.similarity == similarity(a, query)
+    assert mem.best_since(query, 0) == similarity(a, query)
+
+
+def test_a_row_complex64_ranks_first_loses_to_the_float64_winner():
+    # Two non-zero elements, chosen so that rounding to complex64 lifts b
+    # one float32 step above a while float64 scores b below a.
+    ulp = 2.0**-23  # float32 spacing in [1, 2)
+    a = np.zeros(D, dtype=np.complex128)
+    b = np.zeros(D, dtype=np.complex128)
+    query = np.zeros(D, dtype=np.complex128)
+    query[:2] = 1.0
+    a[:2] = 1.0, 2.0 + 2 * ulp
+    b[:2] = 1.0 + 0.51 * ulp, 2.0 + 2 * ulp - 0.9 * ulp
+    scan64 = (np.conj(np.stack([b, a])).astype(np.complex64)
+              @ query.astype(np.complex64)).real
+    assert scan64[0] > scan64[1]
+    assert similarity(b, query) < similarity(a, query)
+    mem = CleanupMemory(D, floor=0.0)
+    mem.add("b", b)
+    mem.add("a", a)
+    hit = mem.recall(query)
+    assert hit.name == "a"
+    assert hit.similarity == similarity(a, query)
+
+
+def test_the_first_of_two_identical_rows_wins(mem, rng):
+    v = random_symbol(rng, D)
+    mem.add("first", v)
+    mem.add("second", v.copy())
+    assert mem.recall(v).name == "first"
+    assert mem.best_since(v, 1) == similarity(v, v)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_recall_and_best_since_follow_the_float64_kernel(seed):
+    """Non-unit rows and queries: the scan's answers equal a per-row argmax."""
+    gen = np.random.default_rng(seed)
+    mem = CleanupMemory(D, floor=0.0)
+    rows = []
+    for i in range(150):
+        v = random_symbol(gen, D) * gen.uniform(0.2, 3.0)
+        if i % 3 == 0 and rows:  # superpositions, near earlier rows
+            v = v * 0.1 + rows[gen.integers(len(rows))]
+        rows.append(v)
+        mem.add(f"r{i}", v)
+    for _ in range(30):
+        query = rows[gen.integers(len(rows))] * gen.uniform(0.5, 2.0)
+        query = query + 0.8 * random_symbol(gen, D)
+        sims = [similarity(r, query) for r in rows]
+        hit = mem.recall(query)
+        assert hit.name == f"r{int(np.argmax(sims))}"
+        assert hit.similarity == max(sims)
+        for start in (0, 64, 149):
+            assert mem.best_since(query, start) == max(sims[start:])
+
+
 # -- environments ------------------------------------------------------
 
 

@@ -34,3 +34,23 @@ def test_every_wrapped_site_fires_on_a_small_session(tmp_path):
     assert tracing.self_check("repl", tracer) == []
     # programs also requires residue's own decode_residue, reached by *
     assert tracing.self_check("programs", tracer) == []
+
+
+SYMBOLS_ONLY = """
+(define rev (lambda (l acc)
+  (cond ((eq? l nil) acc) (t (rev (cdr l) (cons (car l) acc))))))
+(rev (quote (a b c)) nil)
+"""
+
+
+def test_a_symbol_only_session_fires_the_lists_sites(tmp_path):
+    # lists requires every recall site to fire and no integer decode
+    tracer = tracing.Tracer()
+    path = tmp_path / "traced.vls"
+    with tracing.installed(tracer):
+        session = Session()
+        assert list(session.eval_source(SYMBOLS_ONLY)) == ["rev", "(c b a)"]
+        session.save(path)
+        restored = Session.restore(path)
+        assert list(restored.eval_source("(rev (quote (x y)) nil)")) == ["(y x)"]
+    assert tracing.self_check("lists", tracer) == []

@@ -14,7 +14,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402
 
-from phasorlisp import PhasorError, Session, unbind  # noqa: E402
+import numpy as np  # noqa: E402
+
+from phasorlisp import (  # noqa: E402
+    CleanupMemory,
+    MemoryEmptyError,
+    NoMatchError,
+    PhasorError,
+    RecallResult,
+    Session,
+    unbind,
+)
+from phasorlisp.fhrr import similarities  # noqa: E402
 
 
 class Unmemoized(Session):
@@ -25,6 +36,52 @@ class Unmemoized(Session):
 
     def _resolve_value(self, v):
         return self.resolve(v)
+
+
+class Float64Memory(CleanupMemory):
+    """Recall by scoring every complex128 row in one float64 product.
+
+    The reference for the complex64 scan: it keeps its own copy of the
+    rows and never rescores, so it shares no scan code with the memory.
+    """
+
+    def __init__(self, dim, floor):
+        super().__init__(dim, floor=floor)
+        self._all = np.zeros((64, dim), dtype=np.complex128)
+
+    def add(self, name, v, kind="symbol"):
+        n = len(self)
+        super().add(name, v, kind=kind)
+        if n == len(self._all):
+            self._all = np.concatenate([self._all, np.zeros_like(self._all)])
+        self._all[n] = v
+
+    def _sims(self, v, row):
+        return similarities(self._all[row:len(self)], v)
+
+    def recall(self, v):
+        self.recalls += 1
+        if not len(self):
+            raise MemoryEmptyError("memory is empty")
+        sims = self._sims(v, 0)
+        best = int(np.argmax(sims))
+        name = self.names()[best]
+        if sims[best] < self.floor:
+            raise NoMatchError(f"best match {name!r} is below the floor")
+        return RecallResult(
+            name, self.vector(name), float(sims[best]), self.kind(name)
+        )
+
+    def best_since(self, v, row):
+        return float(self._sims(v, row).max())
+
+
+class Float64Recall(Session):
+    """A session whose memory scans in float64 only."""
+
+    def _setup(self, config, codebook, rng):
+        super()._setup(config, codebook, rng)
+        self.memory = Float64Memory(config.dim, config.floor)
 
 
 ACCEPTANCE = (
@@ -73,18 +130,20 @@ def _plan_sources(workload):
     return [f.source for f in plan.forms], plan.check.source
 
 
-@pytest.mark.parametrize(
-    "sources, check",
-    [
-        pytest.param(ACCEPTANCE, "(length xs)", id="acceptance"),
-        *(
-            pytest.param(*_plan_sources(w), id=w)
-            for w in ("programs", "lists", "repl")
-        ),
-    ],
-)
+_CASES = [
+    pytest.param(ACCEPTANCE, "(length xs)", id="acceptance"),
+    *(pytest.param(*_plan_sources(w), id=w) for w in ("programs", "lists", "repl")),
+]
+
+
+@pytest.mark.parametrize("sources, check", _CASES)
 def test_memo_leaves_transcripts_and_session_files_unchanged(sources, check):
     assert _run(Session, sources, check) == _run(Unmemoized, sources, check)
+
+
+@pytest.mark.parametrize("sources, check", _CASES)
+def test_complex64_scan_matches_a_float64_scan(sources, check):
+    assert _run(Session, sources, check) == _run(Float64Recall, sources, check)
 
 
 def test_repl_seed_2010_reads_the_right_integer():
