@@ -82,6 +82,9 @@ _TAG_NAMES = ("#cons", "#lambda")
 #: A key is a whole vector's bytes (16 KB at dim 1000).
 VALUE_MEMO_SIZE = 64
 
+#: Most tagged integer codes one session keeps; the oldest goes first.
+CODE_TABLE_SIZE = 64
+
 
 @dataclass(frozen=True)
 class Config:
@@ -195,6 +198,8 @@ class Session:
         self._readings: dict[tuple[str, str], _Reading] = {}
         #: a value's exact bytes -> what it resolved to; see _resolve_value
         self._values: dict[bytes, _Reading] = {}
+        #: exact int -> its read-only tagged code; see encode_int
+        self._codes: dict[int, np.ndarray] = {}
 
     def _bootstrap(self) -> None:
         self.memory.add("int", self.codebook.tag)
@@ -239,8 +244,11 @@ class Session:
         """Interned vector for ``name``, minting a fresh one if unknown.
 
         The name of a pointer, scope handle or role is reserved: a program
-        that names one would forge a reference to it.
+        that names one would forge a reference to it.  So is ``int``, the
+        entry that stores the integer type tag.
         """
+        if name == "int":
+            raise EvalError("'int' names the integer type tag, not a symbol")
         if name not in self.memory:
             self._mint(name, "symbol")
         elif self.memory.kind(name) != "symbol":
@@ -253,8 +261,22 @@ class Session:
     # -- encoding -------------------------------------------------------
 
     def encode_int(self, x: int) -> np.ndarray:
-        """Residue code of x with the integer type tag superposed."""
-        return encode_residue(self.codebook, x) + self.int_tag
+        """Residue code of x with the integer type tag superposed.
+
+        The last ``CODE_TABLE_SIZE`` codes are kept, read-only, under the
+        exact int, so a literal or a memoized integer reading costs one
+        lookup.  The code is a pure function of ``x`` and the codebook,
+        and ``-52`` and ``53`` keep their own keys, so every code keeps
+        the bits it would have without the table.
+        """
+        codes = self._codes
+        code = codes.get(x)
+        if code is None:
+            code = codes[x] = encode_residue(self.codebook, x) + self.int_tag
+            code.flags.writeable = False
+            if len(codes) > CODE_TABLE_SIZE:
+                del codes[next(iter(codes))]
+        return code
 
     def cons(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
         """Store a pair chunk and return its fresh pointer symbol."""

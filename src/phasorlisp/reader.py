@@ -81,7 +81,13 @@ def tokenize(source: str) -> list[Token]:
 
 def _atom_from(token: Token) -> SExpr:
     if _INT_RE.match(token.text):
-        return IntLiteral(int(token.text))
+        try:
+            return IntLiteral(int(token.text))
+        except ValueError:  # past Python's int-conversion digit limit
+            raise ParseError(
+                f"integer literal of {len(token.text)} characters is too long",
+                token.position,
+            ) from None
     return Atom(token.text)
 
 

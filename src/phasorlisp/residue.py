@@ -58,6 +58,10 @@ CODEBOOK_MAGIC = b"RHC1"
 #: dim=1000, so 0.1 separates noise from signal with margin.
 DECODE_FLOOR = 0.1
 
+#: Most readings one codebook keeps; the oldest goes first.  A key holds a
+#: whole vector's bytes (16 KB at dim 1000).
+DECODE_MEMO_SIZE = 64
+
 
 @dataclass(frozen=True)
 class ModuliSet:
@@ -101,7 +105,9 @@ class ResidueCodebook:
     so ``exp(1j * phases[i])`` is the base vector of modulus ``m_i``.
     ``tag`` is the atomic symbol superposed onto encoded integers by the
     interpreter to mark their type.  Codebooks are immutable after
-    construction and safe to share.
+    construction, and what they cache (the code matrix, the per-modulus
+    factor codebooks, recent readings) is a pure function of the phase
+    tables, so any number of sessions in one thread may share one.
     """
 
     moduli: ModuliSet
@@ -112,6 +118,10 @@ class ResidueCodebook:
     _candidates: np.ndarray | None = field(init=False, repr=False, default=None)
     _factor_books: list[FactorCodebook] | None = field(
         init=False, repr=False, default=None
+    )
+    #: (method, floor, dtype, exact bytes) -> integer; see decode_residue
+    _decoded: dict[tuple, int] = field(
+        init=False, repr=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
@@ -159,9 +169,16 @@ def encode_residue(cb: ResidueCodebook, x: int) -> np.ndarray:
     """The code of ``x``: the product over moduli of each base to the x-th.
 
     Phases are periodic, so any Python integer works; negative values land
-    on the range-complement code.
+    on the range-complement code.  An ``x`` beyond ``range`` in magnitude
+    is first reduced mod ``range``: float64 cannot carry its product with
+    a phase sum, which loses the phase or overflows.  Smaller values are
+    encoded as they stand, so their codes keep their bits.
     """
-    return np.exp(1j * (int(x) * cb._phase_sum))
+    x = int(x)
+    r = cb.moduli.range
+    if abs(x) > r:
+        x %= r
+    return np.exp(1j * (x * cb._phase_sum))
 
 
 #: Carry-free addition is binding: code(a) * code(b) == code(a + b mod range).
@@ -206,11 +223,30 @@ def decode_residue(
     starting mixtures, and the best-checking reading wins.  Either way, a
     best match below ``floor`` raises ``DecodeError`` rather than
     returning an arbitrary integer.
+
+    A reading is a pure function of the codebook, ``method``, ``floor``
+    and the exact bytes of ``v`` (restarts draw from fixed seeds, never
+    from a caller's generator), so the codebook keeps the last
+    ``DECODE_MEMO_SIZE`` successful readings under that key and answers a
+    bit-identical repeat without decoding again.  A failure is not kept:
+    it raises afresh each time.
     """
     if v.shape[0] != cb.dim:
         raise DimensionError(
             f"vector dimension {v.shape[0]} != codebook dimension {cb.dim}"
         )
+    memo = cb._decoded
+    key = (method, floor, v.dtype.str, v.tobytes())
+    x = memo.get(key)
+    if x is None:
+        x = memo[key] = _decode(cb, v, method, floor)
+        if len(memo) > DECODE_MEMO_SIZE:
+            del memo[next(iter(memo))]
+    return x
+
+
+def _decode(cb: ResidueCodebook, v: np.ndarray, method: str, floor: float) -> int:
+    """``decode_residue`` without its memo."""
     if method == "exhaustive":
         x, best = nearest_code(cb, v)
         if best < floor:

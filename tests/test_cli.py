@@ -123,6 +123,18 @@ def test_syntax_error_exits_3(tmp_path):
     assert err.startswith("ERROR:parse:")
 
 
+def test_an_over_long_literal_exits_3(tmp_path):
+    script = tmp_path / "long.vl"
+    script.write_text("(+ 1 2)\n(+ 1 " + "7" * 5000 + ")\n")
+    code, out, err = cli("run", str(script))
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "ERROR:parse: integer literal of 5000 characters is too long"
+        " at offset 13\n"
+    )
+
+
 def test_runtime_error_exits_1(tmp_path):
     script = tmp_path / "bad.vl"
     script.write_text("(mystery 1)")

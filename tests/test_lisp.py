@@ -19,6 +19,7 @@ from phasorlisp import (
     SessionIOError,
     UnboundSymbolError,
     decode_residue,
+    encode_residue,
     new_rng,
     normalize,
     parse_one,
@@ -216,6 +217,53 @@ def test_value_memo_keeps_at_most_its_bound(session):
     assert values[8].tobytes() in session._values
 
 
+def test_a_repeated_product_does_not_factorize_its_operand_again(
+    session, monkeypatch
+):
+    import phasorlisp.residue
+
+    factorized = []
+    real = phasorlisp.residue.factorize
+
+    def counting(*args, **kwargs):
+        factorized.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(phasorlisp.residue, "factorize", counting)
+    three, four = session.encode_int(3), session.encode_int(4)
+    session.prim_mul(three, four)
+    assert factorized
+    factorized.clear()
+    session.prim_mul(three, four)
+    assert not factorized
+    assert run(session, "(* 3 4)") == "12"
+    factorized.clear()
+    # Encoding the form again rebuilds the chunk (4) bit for bit, so its
+    # head and *'s operand are memo hits; only the head of (3 4), whose
+    # unbinding carries crosstalk from the fresh pointer to (4), is new.
+    assert run(session, "(* 3 4)") == "12"
+    assert len(factorized) == 1
+
+
+def test_every_tabled_code_is_read_only_and_exact(session):
+    from phasorlisp.lisp import CODE_TABLE_SIZE
+
+    r = session.moduli.range
+    for x in range(-r, r + 1):
+        code = session.encode_int(x)
+        expected = encode_residue(session.codebook, x) + session.int_tag
+        assert code.tobytes() == expected.tobytes()
+        assert not code.flags.writeable
+        assert session.encode_int(x) is code
+        assert len(session._codes) <= CODE_TABLE_SIZE
+    # the newest stays and the oldest went first
+    assert list(session._codes) == list(range(r - CODE_TABLE_SIZE + 1, r + 1))
+    # -52 and 53 name one residue but keep their own keys, so their own bits
+    assert session.encode_int(-52) is not session.encode_int(53)
+    with pytest.raises(ValueError):
+        session.encode_int(r)[0] = 0
+
+
 def test_force_decode_confidence(session):
     x, conf = session.force_decode(session.encode_int(33))
     assert x == 33
@@ -281,6 +329,35 @@ def test_arithmetic_rejects_non_integer_operand(session):
 def test_negative_literals_encode_modularly(session):
     assert run(session, "(+ -1 2)") == "1"
     assert run(session, "-50") == "-50"
+
+
+@pytest.mark.parametrize(
+    "source, printed",
+    [
+        ("(+ 0 100000000000000000)", "40"),
+        ("(+ 0 -100000000000000000)", "-40"),
+        ("(* 2 100000000000000001)", "-23"),
+        ("(+ 0 1000000000000000000000)", "-50"),
+        ("(+ 0 " + "9" * 400 + ")", "24"),
+    ],
+)
+def test_a_literal_beyond_the_range_reads_as_its_residue(session, source, printed):
+    assert run(session, source) == printed
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "(eq? (quote int) 0)",
+        "(+ (quote int) 1)",
+        "(int? (quote int))",
+        "(define int 1)",
+        "(lambda (int) int)",
+    ],
+)
+def test_a_program_cannot_name_the_integer_tag(session, source):
+    with pytest.raises(EvalError, match="'int' names the integer type tag"):
+        session.eval_expr(parse_one(source))
 
 
 def test_display_window_boundaries(session):

@@ -84,3 +84,9 @@ def test_parse_reads_nesting_deeper_than_the_python_stack():
     for _ in range(depth - 1):
         (expr,) = expr.items
     assert expr == ListExpr((Atom("a"),))
+
+
+def test_an_over_long_literal_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse_program("(+ 1 " + "7" * 5000 + ")")
+    assert info.value.position == 5

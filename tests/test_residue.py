@@ -128,6 +128,88 @@ def test_resonator_decode_survives_superposed_noise(cb):
         assert decode_residue(cb, v, method="resonator") == x
 
 
+def test_a_value_beyond_the_range_encodes_its_residue(cb):
+    r = cb.moduli.range
+    for x in (r + 1, -r - 1, 10**17, -(10**17), 10**17 + 1, 10**21, 10**400 - 1):
+        assert np.array_equal(encode_residue(cb, x), encode_residue(cb, x % r))
+        assert decode_residue(cb, encode_residue(cb, x)) == x % r
+
+
+def test_a_value_within_the_range_keeps_its_bits(cb):
+    r = cb.moduli.range
+    for x in range(-r, r + 1):
+        expected = np.exp(1j * (x * cb._phase_sum))
+        assert encode_residue(cb, x).tobytes() == expected.tobytes()
+
+
+# -- the decode memo ---------------------------------------------------
+
+
+def _fresh_codebook():
+    return make_codebook(ModuliSet((3, 5, 7)), D, new_rng(42))
+
+
+def _count_factorize(monkeypatch):
+    import phasorlisp.residue
+
+    calls = []
+    real = phasorlisp.residue.factorize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(phasorlisp.residue, "factorize", counting)
+    return calls
+
+
+def test_a_repeated_input_is_decoded_once(monkeypatch):
+    fresh = _fresh_codebook()
+    calls = _count_factorize(monkeypatch)
+    v = encode_residue(fresh, 17) + random_symbol(new_rng(2), D)
+    assert decode_residue(fresh, v, method="resonator") == 17
+    first = len(calls)
+    assert first >= 1
+    # keyed by the bytes, not by the array
+    assert decode_residue(fresh, v.copy(), method="resonator") == 17
+    assert len(calls) == first
+    # another floor, or the same values in another dtype, is another key
+    assert decode_residue(fresh, v, method="resonator", floor=0.2) == 17
+    second = len(calls)
+    assert second > first
+    assert decode_residue(fresh, v.astype(np.complex64), method="resonator") == 17
+    assert len(calls) > second
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "resonator"])
+def test_a_reading_kept_under_one_floor_does_not_pass_a_higher_one(method):
+    fresh = _fresh_codebook()
+    v = 0.3 * encode_residue(fresh, 5) + random_symbol(new_rng(3), D)
+    # the code of 5 scores about 0.3 here: above 0.1, below 0.5
+    assert 0.1 < np.vdot(encode_residue(fresh, 5), v).real / D < 0.5
+    assert decode_residue(fresh, v, method=method, floor=0.1) == 5
+    with pytest.raises(DecodeError):
+        decode_residue(fresh, v, method=method, floor=0.5)
+    assert decode_residue(fresh, v, method=method, floor=0.1) == 5
+
+
+def test_decode_memo_keeps_readings_only_and_at_most_its_bound():
+    from phasorlisp.residue import DECODE_MEMO_SIZE
+
+    fresh = _fresh_codebook()
+    junk = random_symbol(new_rng(1), D)
+    with pytest.raises(DecodeError):
+        decode_residue(fresh, junk)
+    assert not fresh._decoded
+    codes = [encode_residue(fresh, x) for x in range(DECODE_MEMO_SIZE + 8)]
+    for x, v in enumerate(codes):
+        assert decode_residue(fresh, v) == x
+        assert len(fresh._decoded) <= DECODE_MEMO_SIZE
+    # the oldest went first
+    kept = [key[3] for key in fresh._decoded]
+    assert kept == [v.tobytes() for v in codes[8:]]
+
+
 # -- arithmetic homomorphisms ------------------------------------------
 
 

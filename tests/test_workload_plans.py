@@ -23,13 +23,28 @@ from phasorlisp import (  # noqa: E402
     PhasorError,
     RecallResult,
     Session,
+    encode_residue,
     unbind,
 )
 from phasorlisp.fhrr import similarities  # noqa: E402
 
 
+class _Forgetful(dict):
+    """A memo that never keeps what it is given."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class Unmemoized(Session):
-    """Resolves every chunk part and every value afresh, as without memos."""
+    """Resolves, decodes and encodes everything afresh, as without memos."""
+
+    def _setup(self, config, codebook, rng):
+        super()._setup(config, codebook, rng)
+        codebook._decoded = _Forgetful()
+
+    def encode_int(self, x):
+        return encode_residue(self.codebook, x) + self.int_tag
 
     def _unbind_role(self, r, role):
         return self.resolve(unbind(self.memory.chunk(r.name), self._role(role)))
