@@ -102,6 +102,12 @@ def run_benchmark(
     """
     if reps < 5:
         raise ConfigError(f"benchmark needs at least 5 repetitions, got {reps}")
+    # the growth exponent is a log-log fit: it needs two distinct points
+    if len(set(magnitudes)) < 2 or min(magnitudes) < 1:
+        raise ConfigError(
+            f"benchmark needs two distinct magnitudes, each at least 1, "
+            f"got {list(magnitudes)}"
+        )
     cfg = config if config is not None else Config()
     results: list[BenchResult] = []
 

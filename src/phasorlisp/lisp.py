@@ -18,7 +18,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Callable, Iterator, NamedTuple
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -82,9 +82,6 @@ _TAG_NAMES = ("#cons", "#lambda")
 #: A key is a whole vector's bytes (16 KB at dim 1000).
 VALUE_MEMO_SIZE = 64
 
-#: Most tagged integer codes one session keeps; the oldest goes first.
-CODE_TABLE_SIZE = 64
-
 
 @dataclass(frozen=True)
 class Config:
@@ -117,7 +114,7 @@ class Config:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Resolved:
     """A vector snapped back to what the session knows it to be.
 
@@ -125,13 +122,15 @@ class Resolved:
     env, role, or unknown.  A pointer whose chunk carries the ``#cons`` or
     ``#lambda`` tag resolves as ``cons`` or ``lambda``; ``pointer`` is left
     for a chunk with neither.  ``vector`` is the exact stored (or
-    re-encoded) form, free of the noise the query may have carried.
+    re-encoded) form, free of the noise the query may have carried, and
+    read-only unless the kind is ``unknown``.
     ``similarity`` is the recall score of the winning memory entry, or
     ``None`` for an integer or an unknown vector.  The evaluator hands
     code from step to step as ``Resolved``, ``Session._unbind_role``
     resolves each part of a chunk once per session, and
-    ``Session._resolve_value`` each recent runtime value, so a vector the
-    session has already cleaned up is not cleaned up again.
+    ``Session._resolve_value`` each recent runtime value, and both hand
+    out the very ``Resolved`` they stored, so a vector the session has
+    already cleaned up is not cleaned up, or rebuilt, again.
     """
 
     kind: str
@@ -139,16 +138,6 @@ class Resolved:
     value: int | None
     vector: np.ndarray
     similarity: float | None = None
-
-
-class _Reading(NamedTuple):
-    """A memoized ``Resolved`` without its vector, and the memory size then."""
-
-    kind: str
-    name: str | None
-    value: int | None
-    similarity: float | None
-    rows: int
 
 
 @contextmanager
@@ -194,12 +183,10 @@ class Session:
         self.display_raw = False
         #: name prefix -> number of the next cell-, closure- or env- entry
         self._counts = {"cell": 0, "closure": 0, "env": 0}
-        #: (chunk name, role) -> what the role resolved to; see _unbind_role
-        self._readings: dict[tuple[str, str], _Reading] = {}
-        #: a value's exact bytes -> what it resolved to; see _resolve_value
-        self._values: dict[bytes, _Reading] = {}
-        #: exact int -> its read-only tagged code; see encode_int
-        self._codes: dict[int, np.ndarray] = {}
+        #: (chunk name, role) -> (reading, memory size then); see _unbind_role
+        self._readings: dict[tuple[str, str], tuple[Resolved, int]] = {}
+        #: exact value bytes -> (reading, memory size then); see _resolve_value
+        self._values: dict[bytes, tuple[Resolved, int]] = {}
 
     def _bootstrap(self) -> None:
         self.memory.add("int", self.codebook.tag)
@@ -263,19 +250,12 @@ class Session:
     def encode_int(self, x: int) -> np.ndarray:
         """Residue code of x with the integer type tag superposed.
 
-        The last ``CODE_TABLE_SIZE`` codes are kept, read-only, under the
-        exact int, so a literal or a memoized integer reading costs one
-        lookup.  The code is a pure function of ``x`` and the codebook,
-        and ``-52`` and ``53`` keep their own keys, so every code keeps
-        the bits it would have without the table.
+        The code is read-only: an integer reading hands it out as its
+        ``Resolved.vector``, and the session's memos hand that reading out
+        again on every hit.
         """
-        codes = self._codes
-        code = codes.get(x)
-        if code is None:
-            code = codes[x] = encode_residue(self.codebook, x) + self.int_tag
-            code.flags.writeable = False
-            if len(codes) > CODE_TABLE_SIZE:
-                del codes[next(iter(codes))]
+        code = encode_residue(self.codebook, x) + self.int_tag
+        code.flags.writeable = False
         return code
 
     def cons(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -364,25 +344,22 @@ class Session:
         at least as high.
         Only those entries are scored; if one ties or beats the remembered
         score, the vector is resolved in full.  Unknown readings are not
-        kept, and misses go through ``resolve``.  A reading holds names and
-        numbers, never arrays, so it pins no memory buffer.
+        kept, and misses go through ``resolve``.  A hit returns the very
+        ``Resolved`` that ``resolve`` returned.  Its read-only vector is a
+        memory row, in a block never reallocated, or an integer's own
+        code, so a reading pins no dropped buffer.
         """
         rows = len(self.memory)
-        known = memo.get(key)
-        if known is not None and (known.kind == "int" or known.rows == rows):
-            return self._reread(known)
+        out, seen = memo.get(key, (None, rows))
+        if out is not None and (out.kind == "int" or seen == rows):
+            return out
         v = vector()
-        if (
-            known is not None
-            and self.memory.best_since(v, known.rows) < known.similarity
-        ):
-            memo[key] = known._replace(rows=rows)
-            return self._reread(known)
+        if out is not None and self.memory.best_since(v, seen) < out.similarity:
+            memo[key] = (out, rows)
+            return out
         out = self.resolve(v)
         if out.kind != "unknown":
-            memo[key] = _Reading(
-                out.kind, out.name, out.value, out.similarity, rows
-            )
+            memo[key] = (out, rows)
         return out
 
     def _unbind_role(self, r: Resolved, role: str) -> Resolved:
@@ -412,14 +389,6 @@ class Session:
         if len(memo) > VALUE_MEMO_SIZE:
             del memo[next(iter(memo))]
         return out
-
-    def _reread(self, known: _Reading) -> Resolved:
-        if known.kind == "int":
-            return Resolved("int", None, known.value, self.encode_int(known.value))
-        return Resolved(
-            known.kind, known.name, None, self.memory.vector(known.name),
-            known.similarity,
-        )
 
     def _chain(self, r: Resolved) -> tuple[list[Resolved], Resolved]:
         """Heads of the cons chain starting at ``r`` and the value ending it."""

@@ -131,7 +131,7 @@ class _VectorTable:
         return best, best_score
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecallResult:
     """Best-matching entry for a query vector."""
 

@@ -97,7 +97,7 @@ class ModuliSet:
         return iter(self.moduli)
 
 
-@dataclass
+@dataclass(eq=False)
 class ResidueCodebook:
     """Per-modulus phase tables and base vectors for integer codes.
 
@@ -392,10 +392,14 @@ def load_codebook(src: IO[bytes] | str | Path) -> ResidueCodebook:
     if dim < 1 or n < 1:
         raise SessionIOError(f"bad codebook shape {n} x {dim}")
     ms = struct.unpack(f"<{n}I", read_exact(src, 4 * n))
+    try:
+        moduli = ModuliSet(ms)
+    except InvalidModuliError as exc:
+        raise SessionIOError(f"bad codebook moduli: {exc}") from None
     phases = np.frombuffer(read_exact(src, 8 * n * dim), dtype="<f8")
     tag = read_vector(src, dim)
     return ResidueCodebook(
-        moduli=ModuliSet(ms),
+        moduli=moduli,
         dim=dim,
         phases=phases.reshape(n, dim).astype(np.float64),
         tag=tag,

@@ -26,7 +26,7 @@ from .fhrr import normalize, similarities
 __all__ = ["FactorCodebook", "ResonatorState", "factorize", "cleanup"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorCodebook:
     """Candidate atoms for one factor slot.
 

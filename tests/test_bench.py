@@ -58,7 +58,15 @@ def test_run_benchmark_produces_both_encodings():
 
 def test_run_benchmark_rejects_too_few_reps():
     with pytest.raises(ConfigError):
-        run_benchmark(magnitudes=(2,), reps=3)
+        run_benchmark(magnitudes=(2, 4), reps=3)
+
+
+@pytest.mark.parametrize(
+    "magnitudes", [(0, 5), (-1, 5), (5,), (5, 5), ()], ids=str
+)
+def test_run_benchmark_rejects_magnitudes_no_exponent_can_be_fit_to(magnitudes):
+    with pytest.raises(ConfigError):
+        run_benchmark(magnitudes=magnitudes, reps=5)
 
 
 def test_csv_layout(tmp_path):
@@ -110,5 +118,5 @@ def test_flatness_ratio_on_synthetic_series():
 
 def test_benchmark_respects_custom_config():
     cfg = Config(dim=256)
-    results = run_benchmark(magnitudes=(2,), reps=5, config=cfg)
+    results = run_benchmark(magnitudes=(2, 3), reps=5, config=cfg)
     assert all(r.dimension == 256 for r in results)

@@ -264,6 +264,18 @@ def test_session_file_with_a_chunk_stored_twice_exits_2(
     assert err.startswith("ERROR:io:")
 
 
+@pytest.mark.parametrize("modulus", [1, 10])
+def test_session_file_with_bad_moduli_exits_2(saved_session, tmp_path, modulus):
+    # the first modulus follows the magic, dim and count; 1 is below 2,
+    # and 10 shares a factor with the 5 after it
+    data = bytearray(saved_session)
+    data[12:16] = struct.pack("<I", modulus)
+    code, out, err = _run_with_session(tmp_path, bytes(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:io:")
+
+
 def test_deep_recursion_reports_depth_and_keeps_the_session():
     length = (
         "(define length (lambda (l) (cond ((eq? l nil) 0)"
@@ -348,3 +360,16 @@ def test_bench_plot_data(tmp_path):
     assert code == 0
     assert (tmp_path / "curve_rhc.dat").exists()
     assert (tmp_path / "curve_list.dat").exists()
+
+
+@pytest.mark.parametrize("magnitudes", ["0,5", "5", "5,5"])
+def test_bench_rejects_magnitudes_no_exponent_can_be_fit_to(tmp_path, magnitudes):
+    code, out, err = cli(
+        "bench", "--magnitudes", magnitudes, "--reps", "5",
+        "--out", str(tmp_path / "b.csv"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:config:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "b.csv").exists()

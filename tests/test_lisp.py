@@ -173,15 +173,20 @@ def test_memo_misses_go_through_resolve(session, monkeypatch):
         return real(self, v)
 
     monkeypatch.setattr(Session, "resolve", counting)
-    assert session._unbind_role(code, "#head").name == "a"
+    head = session._unbind_role(code, "#head")
+    assert head.name == "a"
     assert len(calls) == 1
-    assert session._unbind_role(code, "#head").name == "a"
+    # a hit hands out the very Resolved stored
+    assert session._readings[(code.name, "#head")][0] is head
+    assert session._unbind_role(code, "#head") is head
     assert len(calls) == 1
     value = session.symbol("b")
-    assert session._resolve_value(value).name == "b"
+    b = session._resolve_value(value)
+    assert b.name == "b"
     assert len(calls) == 2
+    assert session._values[value.tobytes()][0] is b
     # keyed by the bytes, not by the array
-    assert session._resolve_value(value.copy()).name == "b"
+    assert session._resolve_value(value.copy()) is b
     assert len(calls) == 2
 
 
@@ -246,19 +251,13 @@ def test_a_repeated_product_does_not_factorize_its_operand_again(
 
 
 def test_every_tabled_code_is_read_only_and_exact(session):
-    from phasorlisp.lisp import CODE_TABLE_SIZE
-
     r = session.moduli.range
     for x in range(-r, r + 1):
         code = session.encode_int(x)
         expected = encode_residue(session.codebook, x) + session.int_tag
         assert code.tobytes() == expected.tobytes()
         assert not code.flags.writeable
-        assert session.encode_int(x) is code
-        assert len(session._codes) <= CODE_TABLE_SIZE
-    # the newest stays and the oldest went first
-    assert list(session._codes) == list(range(r - CODE_TABLE_SIZE + 1, r + 1))
-    # -52 and 53 name one residue but keep their own keys, so their own bits
+    # -52 and 53 name one residue but are encoded apart, each with its own bits
     assert session.encode_int(-52) is not session.encode_int(53)
     with pytest.raises(ValueError):
         session.encode_int(r)[0] = 0

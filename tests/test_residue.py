@@ -9,6 +9,8 @@ from phasorlisp import (
     InvalidModuliError,
     ModuliSet,
     NoInverseError,
+    RecallResult,
+    Resolved,
     add_bind,
     crt_reconstruct,
     decode_residue,
@@ -304,3 +306,24 @@ def test_codebook_save_load_roundtrip(cb, tmp_path):
     assert np.array_equal(loaded.tag, cb.tag)
     v = encode_residue(cb, 77)
     assert decode_residue(loaded, v) == 77
+
+
+def _small_codebook():
+    return make_codebook(ModuliSet((3, 5, 7)), 64, new_rng(1))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _small_codebook,
+        lambda: _small_codebook().factor_codebooks()[0],
+        lambda: RecallResult("a", np.ones(4, dtype=complex), 1.0, "symbol"),
+        lambda: Resolved("int", None, 3, np.ones(4, dtype=complex)),
+    ],
+    ids=["ResidueCodebook", "FactorCodebook", "RecallResult", "Resolved"],
+)
+def test_records_holding_arrays_compare_by_identity(make):
+    x, twin = make(), make()
+    assert (x == x) is True
+    assert (x == twin) is False
+    assert hash(x) == hash(x)

@@ -23,7 +23,6 @@ from phasorlisp import (  # noqa: E402
     PhasorError,
     RecallResult,
     Session,
-    encode_residue,
     unbind,
 )
 from phasorlisp.fhrr import similarities  # noqa: E402
@@ -37,14 +36,11 @@ class _Forgetful(dict):
 
 
 class Unmemoized(Session):
-    """Resolves, decodes and encodes everything afresh, as without memos."""
+    """Resolves and decodes everything afresh, as without memos."""
 
     def _setup(self, config, codebook, rng):
         super()._setup(config, codebook, rng)
         codebook._decoded = _Forgetful()
-
-    def encode_int(self, x):
-        return encode_residue(self.codebook, x) + self.int_tag
 
     def _unbind_role(self, r, role):
         return self.resolve(unbind(self.memory.chunk(r.name), self._role(role)))
