@@ -29,28 +29,36 @@ from .errors import (
 )
 from .lisp import Config, Session
 from .reader import parse_program
+from .residue import DECODE_METHODS
 
 __all__ = ["build_parser", "main", "entry"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = Config()
     parser = argparse.ArgumentParser(
         prog="phasorlisp",
         description="A Lisp whose values are complex phasor hypervectors, "
         "with residue-coded modular integer arithmetic.",
     )
-    parser.add_argument("--dim", type=int, default=1000, help="vector dimension")
     parser.add_argument(
-        "--moduli", default="3,5,7", help="comma-separated co-prime moduli"
+        "--dim", type=int, default=defaults.dim, help="vector dimension"
     )
     parser.add_argument(
-        "--theta", type=float, default=0.2, help="similarity threshold"
+        "--moduli",
+        default=",".join(str(m) for m in defaults.moduli),
+        help="comma-separated co-prime moduli",
     )
-    parser.add_argument("--seed", type=int, default=42, help="generator seed")
+    parser.add_argument(
+        "--theta", type=float, default=defaults.theta, help="similarity threshold"
+    )
+    parser.add_argument(
+        "--seed", type=int, default=defaults.seed, help="generator seed"
+    )
     parser.add_argument(
         "--decode",
-        choices=("exhaustive", "resonator"),
-        default="resonator",
+        choices=DECODE_METHODS,
+        default=defaults.decode,
         help="integer readout method",
     )
     parser.add_argument(
@@ -175,10 +183,10 @@ def repl(session: Session, args: argparse.Namespace) -> int:
             continue
         if line == ":quit":
             break
-        if line.startswith(":"):
-            _meta_command(session, line, last)
-            continue
         try:
+            if line.startswith(":"):
+                _meta_command(session, line, last)
+                continue
             for expr in parse_program(line):
                 last = session.eval_expr(expr)
                 print(session.print_value(last))

@@ -40,6 +40,7 @@ from .fhrr import bind, new_rng, normalize, random_symbol, similarity, unbind
 from .memory import CleanupMemory, Environment
 from .reader import Atom, IntLiteral, ListExpr, SExpr, parse_program
 from .residue import (
+    DECODE_METHODS,
     ModuliSet,
     ResidueCodebook,
     add_bind,
@@ -75,6 +76,8 @@ PRIMITIVES = {
     "/": (2, "prim_div"),
 }
 
+#: name of the memory entry that stores the bare integer type tag
+_INT_NAME = "int"
 _ROLE_NAMES = ("#head", "#tail", "#params", "#body", "#env")
 _TAG_NAMES = ("#cons", "#lambda")
 
@@ -89,8 +92,7 @@ class Config:
 
     ``decode`` selects the integer readout: ``resonator`` factorizes per
     modulus and reassembles via the CRT, ``exhaustive`` scans the whole
-    codebook.  ``floor`` is the shared confidence minimum for decoding
-    and memory recall.
+    codebook.
     """
 
     dim: int = 1000
@@ -98,7 +100,6 @@ class Config:
     theta: float = 0.2
     seed: int = 42
     decode: str = "resonator"
-    floor: float = 0.1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
@@ -106,10 +107,8 @@ class Config:
             raise ConfigError(f"dimension must be >= 1, got {self.dim}")
         if not 0.0 < self.theta < 1.0:
             raise ConfigError(f"theta must lie in (0, 1), got {self.theta}")
-        if self.decode not in ("exhaustive", "resonator"):
+        if self.decode not in DECODE_METHODS:
             raise ConfigError(f"unknown decode method {self.decode!r}")
-        if not 0.0 <= self.floor < 1.0:
-            raise ConfigError(f"floor must lie in [0, 1), got {self.floor}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -178,10 +177,11 @@ class Session:
         self.moduli = codebook.moduli
         self.rng = rng
         self.codebook = codebook
-        self.memory = CleanupMemory(config.dim, floor=config.floor)
+        self.memory = CleanupMemory(config.dim)
         self.environments: dict[str, Environment] = {}
         self.display_raw = False
-        #: name prefix -> number of the next cell-, closure- or env- entry
+        #: name prefix -> lowest number the next cell-, closure- or env- entry
+        #: may take; a restored session starts from 0 and skips what it holds
         self._counts = {"cell": 0, "closure": 0, "env": 0}
         #: (chunk name, role) -> (reading, memory size then); see _unbind_role
         self._readings: dict[tuple[str, str], tuple[Resolved, int]] = {}
@@ -189,7 +189,7 @@ class Session:
         self._values: dict[bytes, tuple[Resolved, int]] = {}
 
     def _bootstrap(self) -> None:
-        self.memory.add("int", self.codebook.tag)
+        self.memory.add(_INT_NAME, self.codebook.tag)
         for name in ("t", "f", "nil"):
             self._mint(name, "symbol")
         for name in _ROLE_NAMES + _TAG_NAMES:
@@ -202,7 +202,7 @@ class Session:
         self.memory.add(name, random_symbol(self.rng, self.config.dim), kind=kind)
 
     def _next_name(self, prefix: str) -> str:
-        """Next free ``<prefix>-<n>``, past any user symbol of that name."""
+        """Lowest free ``<prefix>-<n>``, past any stored entry of that name."""
         n = self._counts[prefix]
         while f"{prefix}-{n}" in self.memory:
             n += 1
@@ -234,8 +234,8 @@ class Session:
         that names one would forge a reference to it.  So is ``int``, the
         entry that stores the integer type tag.
         """
-        if name == "int":
-            raise EvalError("'int' names the integer type tag, not a symbol")
+        if name == _INT_NAME:
+            raise EvalError(f"{name!r} names the integer type tag, not a symbol")
         if name not in self.memory:
             self._mint(name, "symbol")
         elif self.memory.kind(name) != "symbol":
@@ -298,24 +298,25 @@ class Session:
 
         Integer-tagged vectors are decoded and re-encoded, so one cleanup
         pass removes all accumulated unbinding noise.  A tagged vector
-        that fails to decode falls through to symbol recall; a vector
-        matching nothing is returned as kind ``unknown``.
+        that fails to decode falls through to symbol recall, and raises
+        the ``DecodeError`` if recall finds only the bare type tag; a
+        vector matching nothing is returned as kind ``unknown``.
         """
+        failed = None
         if similarity(v, self.int_tag) > self.config.theta:
             try:
                 x = decode_residue(
-                    self.codebook,
-                    v - self.int_tag,
-                    method=self.config.decode,
-                    floor=self.config.floor,
+                    self.codebook, v - self.int_tag, method=self.config.decode
                 )
                 return Resolved("int", None, x, self.encode_int(x))
-            except DecodeError:
-                pass
+            except DecodeError as exc:
+                failed = exc
         try:
             hit = self.memory.recall(v)
         except (MemoryEmptyError, NoMatchError):
             return Resolved("unknown", None, None, v)
+        if failed is not None and hit.name == _INT_NAME:
+            raise failed
         kind = hit.kind
         if kind == "symbol":
             if hit.name in ("t", "f"):
@@ -615,17 +616,14 @@ class Session:
     def prim_mul(self, u, v) -> np.ndarray:
         a = self._require_int(u, "*")
         b = self._require_int(v, "*")
-        product = mul_bind(
-            self.codebook, a, b, method=self.config.decode, floor=self.config.floor
-        )
-        return product + self.int_tag
+        return mul_bind(self.codebook, a, b, method=self.config.decode) + self.int_tag
 
     def prim_div(self, u, v) -> np.ndarray:
         a = self._require_int(u, "/")
         b = self._require_int(v, "/")
-        method, floor = self.config.decode, self.config.floor
-        inv = mod_inverse(self.codebook, b, method=method, floor=floor)
-        quotient = mul_bind(self.codebook, a, inv, method=method, floor=floor)
+        method = self.config.decode
+        inv = mod_inverse(self.codebook, b, method=method)
+        quotient = mul_bind(self.codebook, a, inv, method=method)
         return quotient + self.int_tag
 
     # -- printing -------------------------------------------------------
@@ -733,8 +731,6 @@ class Session:
                 prefix, _, rest = name.partition(":")
                 if prefix in ("symbol", "pointer", "role", "env"):
                     sess.memory.add(rest, vec, kind=prefix)
-                    if prefix != "symbol":  # a user symbol may look like one
-                        sess._note_counter(rest)
                     if prefix == "env":
                         env = envs[rest] = Environment()
                         env.handle = rest
@@ -758,9 +754,3 @@ class Session:
             raise SessionIOError("session file lacks the global scope")
         sess.global_env = sess.environments["env-0"]
         return sess
-
-    def _note_counter(self, name: str) -> None:
-        """Keep the next minted ``<prefix>-<n>`` name past a restored one."""
-        prefix, _, n = name.partition("-")
-        if prefix in self._counts and n.isdigit():
-            self._counts[prefix] = max(self._counts[prefix], int(n) + 1)

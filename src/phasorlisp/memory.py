@@ -22,14 +22,9 @@ from .errors import (
     NoMatchError,
     UnboundSymbolError,
 )
-from .fhrr import similarity
+from .fhrr import FLOOR, similarity
 
 __all__ = ["RecallResult", "CleanupMemory", "Environment"]
-
-#: Default similarity floor for recall.  Matches the decoding floor:
-#: random phasors score O(1/sqrt(dim)), far below 0.1 at dim=1000.
-RECALL_FLOOR = 0.1
-
 
 #: Rows per complex128 block.  A block is never reallocated, so a row
 #: handed out by ``vector`` or ``recall`` keeps no dropped buffer alive.
@@ -150,7 +145,7 @@ class CleanupMemory:
     Recalls are counted so benchmarks can report memory traffic.
     """
 
-    def __init__(self, dim: int, floor: float = RECALL_FLOOR) -> None:
+    def __init__(self, dim: int, floor: float = FLOOR) -> None:
         if dim < 1:
             raise DimensionError(f"dimension must be >= 1, got {dim}")
         self.dim = dim

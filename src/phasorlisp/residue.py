@@ -17,21 +17,23 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DecodeError,
     DimensionError,
     InvalidModuliError,
     NoInverseError,
     SessionIOError,
 )
-from .fhrr import bind, phase_angles, random_symbol, similarities, similarity
+from .fhrr import FLOOR, bind, phase_angles, random_symbol, similarities, similarity
 from .resonator import FactorCodebook, factorize
 
 __all__ = [
@@ -49,14 +51,13 @@ __all__ = [
     "save_codebook",
     "load_codebook",
     "CODEBOOK_MAGIC",
+    "DECODE_METHODS",
 ]
 
 CODEBOOK_MAGIC = b"RHC1"
 
-#: Similarity floor below which decoding reports failure instead of an
-#: arbitrary integer.  Random vectors score O(1/sqrt(dim)) ~ 0.03 at
-#: dim=1000, so 0.1 separates noise from signal with margin.
-DECODE_FLOOR = 0.1
+#: The integer readouts ``decode_residue`` offers.
+DECODE_METHODS = ("exhaustive", "resonator")
 
 #: Most readings one codebook keeps; the oldest goes first.  A key holds a
 #: whole vector's bytes (16 KB at dim 1000).
@@ -130,20 +131,34 @@ class ResidueCodebook:
     def candidates(self) -> np.ndarray:
         """(range, dim) matrix of every integer code; built once, cached."""
         if self._candidates is None:
-            xs = np.arange(self.moduli.range)
-            self._candidates = np.exp(1j * np.outer(xs, self._phase_sum))
+            with self._table(self.moduli.range):
+                xs = np.arange(self.moduli.range)
+                self._candidates = np.exp(1j * np.outer(xs, self._phase_sum))
         return self._candidates
 
     def factor_codebooks(self) -> list[FactorCodebook]:
         """One codebook per modulus: the codes of its residues 0..m-1."""
         if self._factor_books is None:
             books = []
-            for i, m in enumerate(self.moduli):
-                rs = np.arange(m)
-                atoms = np.exp(1j * np.outer(rs, self.phases[i]))
-                books.append(FactorCodebook(atoms=atoms, label=f"mod{m}"))
+            with self._table(sum(self.moduli)):
+                for i, m in enumerate(self.moduli):
+                    rs = np.arange(m)
+                    atoms = np.exp(1j * np.outer(rs, self.phases[i]))
+                    books.append(FactorCodebook(atoms=atoms, label=f"mod{m}"))
             self._factor_books = books
         return self._factor_books
+
+    @contextmanager
+    def _table(self, rows: int) -> Iterator[None]:
+        """Report a decode table of ``rows`` codes that cannot be allocated."""
+        try:
+            yield
+        except MemoryError:
+            raise ConfigError(
+                f"moduli {','.join(map(str, self.moduli))} at dim {self.dim} "
+                f"need a {rows} x {self.dim} decode table "
+                f"({16 * rows * self.dim / 2**30:.1f} GiB), more than memory allows"
+            ) from None
 
 
 def make_codebook(
@@ -210,7 +225,7 @@ def decode_residue(
     cb: ResidueCodebook,
     v: np.ndarray,
     method: str = "exhaustive",
-    floor: float = DECODE_FLOOR,
+    floor: float = FLOOR,
 ) -> int:
     """Recover the integer whose code best matches ``v``.
 
@@ -280,7 +295,7 @@ def mul_bind(
     u: np.ndarray,
     v: np.ndarray,
     method: str = "exhaustive",
-    floor: float = DECODE_FLOOR,
+    floor: float = FLOOR,
 ) -> np.ndarray:
     """code(a) * code(b) -> code(a*b mod range), by decode-then-exponentiate.
 
@@ -296,7 +311,7 @@ def mod_inverse(
     cb: ResidueCodebook,
     v: np.ndarray,
     method: str = "exhaustive",
-    floor: float = DECODE_FLOOR,
+    floor: float = FLOOR,
 ) -> np.ndarray:
     """Code of the multiplicative inverse of the integer encoded by ``v``.
 
@@ -374,9 +389,23 @@ def read_exact(src: IO[bytes], n: int) -> bytes:
     return b"".join(parts)
 
 
+#: Largest magnitude a stored component may have: recall scans rows in
+#: complex64, so a larger one, like NaN or infinity, would poison every score.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def _read_floats(src: IO[bytes], n: int) -> np.ndarray:
+    """``n`` little-endian float64s, each finite within float32 range."""
+    raw = np.frombuffer(read_exact(src, 8 * n), dtype="<f8")
+    # the maximum of an array holding NaN is NaN, which fails the test too
+    if not np.abs(raw).max() <= _FLOAT32_MAX:
+        raise SessionIOError("session file holds a non-finite or huge component")
+    return raw
+
+
 def read_vector(src: IO[bytes], dim: int) -> np.ndarray:
     """Read a vector written by ``write_vector``."""
-    raw = np.frombuffer(read_exact(src, 16 * dim), dtype="<f8")
+    raw = _read_floats(src, 2 * dim)
     return raw[0::2] + 1j * raw[1::2]
 
 
@@ -396,7 +425,7 @@ def load_codebook(src: IO[bytes] | str | Path) -> ResidueCodebook:
         moduli = ModuliSet(ms)
     except InvalidModuliError as exc:
         raise SessionIOError(f"bad codebook moduli: {exc}") from None
-    phases = np.frombuffer(read_exact(src, 8 * n * dim), dtype="<f8")
+    phases = _read_floats(src, n * dim)
     tag = read_vector(src, dim)
     return ResidueCodebook(
         moduli=moduli,

@@ -1,11 +1,20 @@
+import resource
 import struct
 import subprocess
 import sys
 
 import pytest
 
+#: Address-space limit for cases that allocate more than any machine has:
+#: without it such an allocation may succeed lazily and exhaust memory.
+MEMORY_LIMIT = 1536 << 20
 
-def cli(*args, stdin=""):
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def cli(*args, stdin="", limit_memory=False):
     """Run the command line in a subprocess, return (exit, stdout, stderr)."""
     proc = subprocess.run(
         [sys.executable, "-m", "phasorlisp.cli", *args],
@@ -13,6 +22,7 @@ def cli(*args, stdin=""):
         capture_output=True,
         text=True,
         timeout=120,
+        preexec_fn=_limit_memory if limit_memory else None,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -160,6 +170,46 @@ def test_a_program_cannot_name_an_internal_pointer(tmp_path):
     assert err.startswith("ERROR:eval: 'cell-1' names an internal entry")
 
 
+def test_a_failed_integer_read_reports_decode(tmp_path):
+    # 47,027 codes at dim 1000: the resonator cannot read 3, and recall of
+    # the failed read finds only the bare integer type tag
+    script = tmp_path / "x.vl"
+    script.write_text("(+ 1 2)\n")
+    code, out, err = cli("--moduli", "31,37,41", "run", str(script))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ERROR:decode:")
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "resonator"])
+def test_a_decode_table_too_large_to_allocate_exits_2(tmp_path, method):
+    script = tmp_path / "x.vl"
+    script.write_text("1\n")
+    code, out, err = cli(
+        "--moduli", "3,5,1000003", "--decode", method, "run", str(script),
+        limit_memory=True,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:config:")
+    assert "3,5,1000003" in err
+    assert "Traceback" not in err
+
+
+def test_a_meta_command_error_keeps_the_repl_alive():
+    code, out, err = cli(
+        "--moduli", "3,5,1000003", "--decode", "exhaustive", "repl",
+        stdin="(quote a)\n:decode\n(quote b)\n",
+        limit_memory=True,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "a"
+    assert lines[1].startswith("ERROR:config:")
+    assert lines[2] == "b"
+    assert "Traceback" not in err
+
+
 def test_bad_moduli_exit_2():
     code, _, err = cli("--moduli", "4,6", "repl", stdin="")
     assert code == 2
@@ -206,12 +256,12 @@ def saved_session(tmp_path_factory):
     return data
 
 
-def _run_with_session(tmp_path, data):
+def _run_with_session(tmp_path, data, **kwargs):
     sess = tmp_path / "corrupt.vls"
     sess.write_bytes(data)
     script = tmp_path / "prog.vl"
     script.write_text("(+ 1 2)\n")
-    return cli("--session", str(sess), "run", str(script))
+    return cli("--session", str(sess), "run", str(script), **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -270,6 +320,38 @@ def test_session_file_with_bad_moduli_exits_2(saved_session, tmp_path, modulus):
     # and 10 shares a factor with the 5 after it
     data = bytearray(saved_session)
     data[12:16] = struct.pack("<I", modulus)
+    code, out, err = _run_with_session(tmp_path, bytes(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:io:")
+
+
+def test_session_file_with_a_modulus_too_large_to_decode_exits_2(
+    saved_session, tmp_path
+):
+    # 1000003 is prime, so the moduli stay valid, but no decode table fits
+    data = bytearray(saved_session)
+    data[20:24] = struct.pack("<I", 1000003)
+    code, out, err = _run_with_session(tmp_path, bytes(data), limit_memory=True)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:config:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e300])
+@pytest.mark.parametrize("entry", [b"symbol:t", None], ids=["vector", "phase"])
+def test_session_file_with_a_corrupt_component_exits_2(
+    saved_session, tmp_path, entry, value
+):
+    data = bytearray(saved_session)
+    if entry is None:
+        at = HEADER_END  # the first phase
+    else:
+        key = struct.pack("<I", len(entry)) + entry
+        assert data.count(key) == 1
+        at = data.index(key) + len(key)
+    data[at:at + 8] = struct.pack("<d", value)
     code, out, err = _run_with_session(tmp_path, bytes(data))
     assert code == 2
     assert out == ""

@@ -300,12 +300,14 @@ def test_arithmetic_matches_modular_oracle(session):
         assert got.value == (a * b) % 105
 
 
-def test_multiplication_and_division_decode_with_the_session_floor():
-    session = Session(Config(floor=0.5))
+def test_multiplication_and_division_decode_with_the_session_floor(session):
     noise = random_symbol(new_rng(7), session.config.dim)
-    weak = 0.3 * (session.encode_int(2) - session.int_tag) + noise + session.int_tag
-    # resolve will not read weak as an integer at this floor, nor may * or /
-    assert session.resolve(weak).kind != "int"
+    weak = 0.05 * (session.encode_int(2) - session.int_tag) + noise + session.int_tag
+    # the code of 2 scores under the 0.1 floor: resolve will not read weak
+    # as an integer, nor as the bare type tag its recall lands on, nor
+    # may * or /
+    with pytest.raises(DecodeError):
+        session.resolve(weak)
     three = session.encode_int(3)
     with pytest.raises(DecodeError):
         session.prim_mul(three, weak)
@@ -688,7 +690,14 @@ def test_a_restored_session_names_cells_as_the_live_one_does(session):
         assert run(s, "(cons 1 2)") == "(1 . 2)"
         with pytest.raises(EvalError, match="'cell-5' names an internal entry"):
             run(s, "(quote cell-5)")
-    assert other._counts == session._counts
+    # both mint the same next cell, closure and env names
+    rows = len(session.memory)
+    assert len(other.memory) == rows
+    for s in (session, other):
+        run(s, "(define k ((lambda (x) (lambda (y) x)) 1))")
+    minted = session.memory.names()[rows:]
+    assert other.memory.names()[rows:] == minted
+    assert {n.partition("-")[0] for n in minted} >= {"cell", "closure", "env"}
 
 
 def test_restore_rejects_a_binding_ahead_of_its_scope(session):

@@ -56,8 +56,8 @@ class Float64Memory(CleanupMemory):
     rows and never rescores, so it shares no scan code with the memory.
     """
 
-    def __init__(self, dim, floor):
-        super().__init__(dim, floor=floor)
+    def __init__(self, dim):
+        super().__init__(dim)
         self._all = np.zeros((64, dim), dtype=np.complex128)
 
     def add(self, name, v, kind="symbol"):
@@ -92,7 +92,7 @@ class Float64Recall(Session):
 
     def _setup(self, config, codebook, rng):
         super()._setup(config, codebook, rng)
-        self.memory = Float64Memory(config.dim, config.floor)
+        self.memory = Float64Memory(config.dim)
 
 
 ACCEPTANCE = (
