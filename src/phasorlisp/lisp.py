@@ -81,6 +81,10 @@ _INT_NAME = "int"
 _ROLE_NAMES = ("#head", "#tail", "#params", "#body", "#env")
 _TAG_NAMES = ("#cons", "#lambda")
 
+#: name prefix of the cells of a top-level form's spine, numbered afresh
+#: each form; they live in the memory's segment until the form ends
+_SPINE = "code"
+
 #: Most runtime values one session keeps resolved; the oldest goes first.
 #: A key is a whole vector's bytes (16 KB at dim 1000).
 VALUE_MEMO_SIZE = 64
@@ -163,9 +167,15 @@ class Session:
     def __init__(self, config: Config | None = None) -> None:
         config = config if config is not None else Config()
         rng = new_rng(config.seed)
-        codebook = make_codebook(ModuliSet(config.moduli), config.dim, rng)
-        self._setup(config, codebook, rng)
-        self._bootstrap()
+        try:
+            codebook = make_codebook(ModuliSet(config.moduli), config.dim, rng)
+            self._setup(config, codebook, rng)
+            self._bootstrap()
+        except MemoryError:
+            raise ConfigError(
+                f"a session at dimension {config.dim} needs more memory than "
+                f"is available"
+            ) from None
 
     # -- construction ---------------------------------------------------
 
@@ -180,13 +190,18 @@ class Session:
         self.memory = CleanupMemory(config.dim)
         self.environments: dict[str, Environment] = {}
         self.display_raw = False
-        #: name prefix -> lowest number the next cell-, closure- or env- entry
-        #: may take; a restored session starts from 0 and skips what it holds
-        self._counts = {"cell": 0, "closure": 0, "env": 0}
-        #: (chunk name, role) -> (reading, memory size then); see _unbind_role
-        self._readings: dict[tuple[str, str], tuple[Resolved, int]] = {}
-        #: exact value bytes -> (reading, memory size then); see _resolve_value
-        self._values: dict[bytes, tuple[Resolved, int]] = {}
+        #: name prefix -> lowest number the next cell-, closure-, env- or
+        #: code- entry may take; a restored session starts from 0 and skips
+        #: what it holds, and code- restarts from 0 each form
+        self._counts = {"cell": 0, "closure": 0, "env": 0, _SPINE: 0}
+        #: top-level forms begun; see _memoized_resolve
+        self._form = 0
+        #: (chunk name, role) -> (reading, main rows then, form then); see
+        #: _unbind_role
+        self._readings: dict[tuple[str, str], tuple[Resolved, int, int]] = {}
+        #: exact value bytes -> (reading, main rows then, form then); see
+        #: _resolve_value
+        self._values: dict[bytes, tuple[Resolved, int, int]] = {}
 
     def _bootstrap(self) -> None:
         self.memory.add(_INT_NAME, self.codebook.tag)
@@ -231,7 +246,8 @@ class Session:
         """Interned vector for ``name``, minting a fresh one if unknown.
 
         The name of a pointer, scope handle or role is reserved: a program
-        that names one would forge a reference to it.  So is ``int``, the
+        that names one would forge a reference to it.  That includes the
+        ``code-<n>`` cells of the form being evaluated.  So is ``int``, the
         entry that stores the integer type tag.
         """
         if name == _INT_NAME:
@@ -268,14 +284,17 @@ class Session:
         """Store a chunk and return its fresh pointer symbol.
 
         The chunk is ``tag`` plus one role (x) filler binding per part,
-        summed left to right; the pointer entry is named ``<prefix>-<n>``.
+        summed left to right; the pointer entry is named ``<prefix>-<n>``,
+        and a spine cell's goes to the memory's segment.
         """
         composite = self._role(tag)
         for role, filler in parts:
             # ``+``, not ``+=``: the first operand is the tag's read-only row
             composite = composite + bind(self._role(role), filler)
         pointer = random_symbol(self.rng, self.config.dim)
-        self.memory.add_chunk(self._next_name(prefix), pointer, composite)
+        self.memory.add_chunk(
+            self._next_name(prefix), pointer, composite, segment=prefix == _SPINE
+        )
         return pointer
 
     def encode(self, expr: SExpr) -> np.ndarray:
@@ -290,6 +309,31 @@ class Session:
                 v = self.cons(self.encode(item), v)
             return v
         raise EvalError(f"cannot encode {expr!r}")
+
+    def _encode_code(self, expr: SExpr) -> np.ndarray:
+        """``encode`` a top-level form, its spine as segment cells.
+
+        The spine is every cons cell outside a ``quote`` argument and
+        outside a ``lambda`` parameter list or body.  Those arguments
+        outlive the form, as the value ``quote`` returns and as a
+        closure's parts, so ``encode`` stores them in main memory.  Nothing
+        can refer to a spine cell once the form ends: ``define`` returns
+        its symbol and no primitive returns code.  Special forms are known
+        by their head's name alone, so the split is exact.  The generator
+        is drawn in the order ``encode`` draws it.
+        """
+        if not isinstance(expr, ListExpr):
+            return self.encode(expr)
+        items = expr.items
+        head = items[0] if items else None
+        data = isinstance(head, Atom) and head.name in ("quote", "lambda")
+        v = self.symbol("nil")
+        for i in range(len(items) - 1, -1, -1):
+            encode = self.encode if data and i > 0 else self._encode_code
+            v = self._store_chunk(
+                _SPINE, "#cons", ("#head", encode(items[i])), ("#tail", v)
+            )
+        return v
 
     # -- recovery -------------------------------------------------------
 
@@ -332,35 +376,50 @@ class Session:
         return Resolved(kind, hit.name, None, hit.vector, hit.similarity)
 
     def _memoized_resolve(
-        self, memo: dict, key: object, vector: Callable[[], np.ndarray]
+        self,
+        memo: dict,
+        key: object,
+        vector: Callable[[], np.ndarray],
+        owner: str | None = None,
     ) -> Resolved:
         """``resolve(vector())``, answered from ``memo[key]`` while exact.
 
-        ``key`` must stand for one vector for the whole session.  A hit
-        returns exactly what a fresh ``resolve`` would.  An integer reading
-        is final: it depends only on the vector and on the session's
-        codebook and config.  Memory is append-only and recall keeps the
-        first of equal best matches under one per-row float64 kernel, so a
-        recalled entry stays the winner unless an entry added since scores
-        at least as high.
-        Only those entries are scored; if one ties or beats the remembered
-        score, the vector is resolved in full.  Unknown readings are not
-        kept, and misses go through ``resolve``.  A hit returns the very
+        ``key`` must stand for one vector while the memo holds it; ``owner``
+        names the chunk it was unbound from, if any.  A hit returns exactly
+        what a fresh ``resolve`` would.  An integer reading is final: it
+        depends only on the vector and on the session's codebook and
+        config.  A reading is marked with the main memory size and the form
+        number it was taken at.  Main memory is append-only, a form's
+        segment is written before any reading of the form and dropped at
+        its end, and recall keeps the first of equal best matches under one
+        per-row float64 kernel, main entries first; dropping entries that
+        did not win changes no winner.  So a recalled entry stays the
+        winner unless a main entry added since, or an entry of a segment
+        written since, scores at least as high.  Unless the mark is still
+        current, the main entries added since and the whole segment are
+        scored; if one ties or beats the remembered score, the vector is
+        resolved in full.  Unknown readings are not kept, and misses go
+        through ``resolve``.  A reading whose owner or result is a segment
+        entry is dropped with the segment.  A hit returns the very
         ``Resolved`` that ``resolve`` returned.  Its read-only vector is a
-        memory row, in a block never reallocated, or an integer's own
-        code, so a reading pins no dropped buffer.
+        memory row, never reallocated, or an integer's own code, so a
+        reading pins no dropped buffer.
         """
-        rows = len(self.memory)
-        out, seen = memo.get(key, (None, rows))
-        if out is not None and (out.kind == "int" or seen == rows):
+        rows, form = self.memory.main_rows, self._form
+        out, seen, seen_form = memo.get(key, (None, 0, 0))
+        if out is not None and (
+            out.kind == "int" or (seen == rows and seen_form == form)
+        ):
             return out
         v = vector()
         if out is not None and self.memory.best_since(v, seen) < out.similarity:
-            memo[key] = (out, rows)
+            memo[key] = (out, rows, form)
             return out
         out = self.resolve(v)
         if out.kind != "unknown":
-            memo[key] = (out, rows)
+            memo[key] = (out, rows, form)
+            if self.memory.in_segment(owner) or self.memory.in_segment(out.name):
+                self._spine_readings.append((memo, key))
         return out
 
     def _unbind_role(self, r: Resolved, role: str) -> Resolved:
@@ -373,6 +432,7 @@ class Session:
             self._readings,
             (r.name, role),
             lambda: unbind(self.memory.chunk(r.name), self._role(role)),
+            r.name,
         )
 
     def _resolve_value(self, v: np.ndarray) -> Resolved:
@@ -411,11 +471,25 @@ class Session:
     def eval_expr(self, expr: SExpr) -> np.ndarray:
         """Encode and evaluate one top-level form in the global scope.
 
+        The form's spine (see ``_encode_code``) lives in the memory's
+        segment for the form only: when the form returns or raises, the
+        segment is dropped, and so is every memo reading that names one of
+        its entries.  So memory grows only by what the form's values keep.
         Evaluation recurses on the Python stack, so a program nested or
         recursing too deeply raises ``RecursionDepthError``.
         """
-        with _depth_guard("evaluation"):
-            return self.eval_vec(self.resolve(self.encode(expr)), self.global_env)
+        self._form += 1
+        self._counts[_SPINE] = 0
+        #: (memo, key) of each reading that names a segment entry
+        self._spine_readings: list[tuple[dict, object]] = []
+        try:
+            with _depth_guard("evaluation"):
+                code = self.resolve(self._encode_code(expr))
+                return self.eval_vec(code, self.global_env)
+        finally:
+            for memo, key in self._spine_readings:
+                memo.pop(key, None)
+            self.memory.drop_segment()
 
     def eval_source(self, source: str) -> Iterator[str]:
         """Evaluate every form in ``source``, yielding printed results."""

@@ -3,7 +3,9 @@
 A ``CleanupMemory`` stores named unit-phasor vectors and answers nearest
 neighbour queries under the real-part similarity kernel.  Entries carry a
 kind: plain symbols, or pointers that name a stored composite chunk,
-which ``chunk`` returns for unbinding.  Lexical scopes are chains of
+which ``chunk`` returns for unbinding.  Main entries are kept for good;
+entries added to the segment are dropped together, which is how a
+session forgets a top-level form's own cells.  Lexical scopes are chains of
 plain name -> vector dicts linked by parent pointers; they are only ever
 read by name, so they need no cleanup memory of their own.
 """
@@ -26,8 +28,8 @@ from .fhrr import FLOOR, similarity
 
 __all__ = ["RecallResult", "CleanupMemory", "Environment"]
 
-#: Rows per complex128 block.  A block is never reallocated, so a row
-#: handed out by ``vector`` or ``recall`` keeps no dropped buffer alive.
+#: Main rows per complex128 block.  A block is never reallocated, so a
+#: row handed out by ``vector`` or ``recall`` keeps no dropped buffer alive.
 _BLOCK_ROWS = 64
 
 #: Unit roundoffs of float32 and float64: 2**-24 and 2**-53.
@@ -41,11 +43,17 @@ def _gamma(k: int, u: float) -> float:
 
 
 class _VectorTable:
-    """Append-only rows, stored once in complex128, scanned in complex64.
+    """Keyed rows: main rows, append-only, then a segment dropped whole.
 
-    The complex128 rows live in fixed blocks of ``_BLOCK_ROWS``.  The
-    scan matrix holds each row's conjugate rounded to complex64 and
-    grows by doubling; no view of it leaves the table.
+    Each row is stored once in complex128: a main row in a fixed block of
+    ``_BLOCK_ROWS``, a segment row as its own copy.  Rows are handed out
+    as read-only arrays, so a row kept by a caller pins no dropped buffer.
+    The scan matrix holds each row's conjugate rounded to complex64: the
+    main rows in the order they came, then the segment's rows.  A main
+    append while the segment holds rows moves the segment's first scan
+    row to the segment's end, so the live rows always form one range and
+    one product scans them.  The matrix grows by doubling; no view of it
+    leaves the table.
 
     ``best`` scans in complex64 and rescores in float64, with
     ``fhrr.similarity``, only the rows whose complex64 score lies within
@@ -57,16 +65,23 @@ class _VectorTable:
     Cauchy-Schwarz bounds sum |m_k||v_k|.  The float64 winner scores at
     least top - 2*delta in complex64, so it is rescored; every row left
     out scores below top - delta in float64, under the winner.  So the
-    answer is exactly the first row with the highest float64 similarity.
+    answer is exactly the first scan row with the highest float64
+    similarity: on a tie, main rows win first, in the order they came.
     """
 
     def __init__(self, dim: int) -> None:
         self._dim = dim
-        self._rows = 0
-        self._blocks: list[np.ndarray] = []
-        #: read-only views of ``_blocks``, the arrays rows are handed out of
-        self._frozen: list[np.ndarray] = []
-        # rows past ``_rows`` are never read, so no buffer is zeroed
+        #: number of main rows; scan rows from here on are the segment's
+        self.main = 0
+        #: the block main rows are being written to, and its read-only view
+        self._block: np.ndarray | None = None
+        self._frozen: np.ndarray | None = None
+        #: key and complex128 row of each live scan row
+        self._keys: list[str] = []
+        self._rows: list[np.ndarray] = []
+        #: key -> scan row
+        self._index: dict[str, int] = {}
+        # rows past the live ones are never read, so no buffer is zeroed
         self._scan = np.empty((_BLOCK_ROWS, dim), dtype=np.complex64)
         #: largest row 2-norm stored; rows need not be unit phasors
         self._max_norm = 0.0
@@ -81,49 +96,78 @@ class _VectorTable:
         )
 
     def __len__(self) -> int:
-        return self._rows
+        return len(self._keys)
 
-    def row(self, i: int) -> np.ndarray:
-        """Read-only view of row ``i``; no copy."""
-        return self._frozen[i // _BLOCK_ROWS][i % _BLOCK_ROWS]
+    def row(self, key: str) -> np.ndarray:
+        """Read-only complex128 row stored under ``key``; KeyError if absent."""
+        return self._rows[self._index[key]]
 
-    def append(self, v: np.ndarray) -> int:
-        i = self._rows
-        if i % _BLOCK_ROWS == 0:
-            block = np.empty((_BLOCK_ROWS, self._dim), dtype=np.complex128)
-            frozen = block.view()
-            frozen.flags.writeable = False
-            self._blocks.append(block)
-            self._frozen.append(frozen)
-        if i == self._scan.shape[0]:
-            grown = np.empty((2 * i, self._dim), dtype=np.complex64)
-            grown[:i] = self._scan
+    def in_segment(self, key: str) -> bool:
+        i = self._index.get(key)
+        return i is not None and i >= self.main
+
+    def append(self, key: str, v: np.ndarray, segment: bool = False) -> None:
+        """Store ``v`` under a new ``key``, as a main row or in the segment."""
+        n = len(self._keys)
+        if n == self._scan.shape[0]:
+            grown = np.empty((2 * n, self._dim), dtype=np.complex64)
+            grown[:n] = self._scan
             self._scan = grown
-        self._blocks[-1][i % _BLOCK_ROWS] = v
+        if segment:
+            i = n
+            row = np.array(v, dtype=np.complex128)
+            row.flags.writeable = False
+        else:
+            i = self.main
+            if i % _BLOCK_ROWS == 0:
+                self._block = np.empty((_BLOCK_ROWS, self._dim), dtype=np.complex128)
+                self._frozen = self._block.view()
+                self._frozen.flags.writeable = False
+            self._block[i % _BLOCK_ROWS] = v
+            row = self._frozen[i % _BLOCK_ROWS]
+            self.main = i + 1
+        keys, rows = self._keys, self._rows
+        keys.append(key)
+        rows.append(row)
+        if i < n:  # main rows come first: the segment row at ``i`` moves to the end
+            keys[i], keys[n] = key, keys[i]
+            rows[i], rows[n] = row, rows[i]
+            self._index[keys[n]] = n
+            self._scan[n] = self._scan[i]
+        self._index[key] = i
         scan_row = self._scan[i]
         scan_row[:] = v
         np.conjugate(scan_row, out=scan_row)
         self._max_norm = max(self._max_norm, math.sqrt(np.vdot(v, v).real))
-        self._rows = i + 1
-        return i
 
-    def best(self, v: np.ndarray, start: int) -> tuple[int, float]:
-        """First row from ``start`` on with the highest similarity to ``v``.
+    def drop(self) -> list[str]:
+        """Drop every segment row; returns their keys."""
+        dropped = self._keys[self.main :]
+        del self._keys[self.main :]
+        del self._rows[self.main :]
+        for key in dropped:
+            del self._index[key]
+        return dropped
 
-        Returns the row and its ``fhrr.similarity``.  There must be at
-        least one such row.
+    def best(self, v: np.ndarray, start: int) -> tuple[str | None, float]:
+        """First scan row from ``start`` on with the highest similarity to ``v``.
+
+        Returns its key and its ``fhrr.similarity``, or ``(None, -inf)``
+        when no row lies past ``start``.
         """
-        scores = (self._scan[start : self._rows] @ v.astype(np.complex64)).real
+        if start >= len(self._keys):
+            return None, -math.inf
+        scores = (self._scan[start : len(self._keys)] @ v.astype(np.complex64)).real
         top = float(scores.max())
         cut = top - self._slack * self._max_norm * math.sqrt(np.vdot(v, v).real)
         # comparing float32 scores with ``cut`` rounds ``cut`` to float32;
         # rounding is monotone, so no score at or above ``cut`` drops out
         best, best_score = -1, -math.inf
         for i in np.flatnonzero(scores >= cut).tolist():
-            s = similarity(self.row(start + i), v)
+            s = similarity(self._rows[start + i], v)
             if s > best_score:
                 best, best_score = start + i, s
-        return best, best_score
+        return self._keys[best], best_score
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +185,10 @@ class CleanupMemory:
 
     Entries are unique by name and never rewritten.  Pointer entries
     additionally carry a composite chunk vector, retrieved by ``chunk``
-    and, like the entries, written once.
+    and, like the entries, written once.  Main entries are append-only;
+    an entry added with ``segment=True`` joins the segment instead, which
+    ``drop_segment`` forgets whole, chunks included.  Recall scans both,
+    and on equal scores a main entry wins over a segment entry.
     Recalls are counted so benchmarks can report memory traffic.
     """
 
@@ -152,25 +199,33 @@ class CleanupMemory:
         self.floor = floor
         self.recalls = 0
         self._table = _VectorTable(dim)
-        self._names: list[str] = []
-        self._kinds: list[str] = []
-        self._index: dict[str, int] = {}
+        #: name -> kind, in the order the live entries came
+        self._kinds: dict[str, str] = {}
         self._chunks: dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
-        return len(self._names)
+        """Live entries: the main ones and the segment's."""
+        return len(self._kinds)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return name in self._kinds
+
+    @property
+    def main_rows(self) -> int:
+        """Number of main entries; it never falls."""
+        return self._table.main
+
+    def in_segment(self, name: str | None) -> bool:
+        return self._table.in_segment(name)
 
     def names(self, kind: str | None = None) -> list[str]:
         if kind is None:
-            return list(self._names)
-        return [n for n, k in zip(self._names, self._kinds) if k == kind]
+            return list(self._kinds)
+        return [n for n, k in self._kinds.items() if k == kind]
 
     def vector(self, name: str) -> np.ndarray:
         """Stored vector for ``name``, read-only; KeyError if absent."""
-        return self._table.row(self._index[name])
+        return self._table.row(name)
 
     def chunk(self, name: str) -> np.ndarray:
         """Stored composite for pointer ``name``; KeyError if absent."""
@@ -178,24 +233,30 @@ class CleanupMemory:
 
     def kind(self, name: str) -> str:
         """Stored kind for ``name``; KeyError if absent."""
-        return self._kinds[self._index[name]]
+        return self._kinds[name]
 
-    def add(self, name: str, v: np.ndarray, kind: str = "symbol") -> None:
+    def add(
+        self, name: str, v: np.ndarray, kind: str = "symbol", segment: bool = False
+    ) -> None:
         """Store ``v`` under ``name``; a duplicate name raises ValueError."""
         if v.shape[0] != self.dim:
             raise DimensionError(
                 f"vector dimension {v.shape[0]} != memory dimension {self.dim}"
             )
-        if name in self._index:
+        if name in self._kinds:
             raise ValueError(f"entry {name!r} already stored")
-        row = self._table.append(v)
-        self._names.append(name)
-        self._kinds.append(kind)
-        self._index[name] = row
+        self._table.append(name, v, segment)
+        self._kinds[name] = kind
 
-    def add_chunk(self, name: str, pointer: np.ndarray, composite: np.ndarray) -> None:
+    def add_chunk(
+        self,
+        name: str,
+        pointer: np.ndarray,
+        composite: np.ndarray,
+        segment: bool = False,
+    ) -> None:
         """Store a pointer entry together with the chunk it names."""
-        self.add(name, pointer, kind="pointer")
+        self.add(name, pointer, kind="pointer", segment=segment)
         self.attach_chunk(name, composite)
 
     def attach_chunk(self, name: str, composite: np.ndarray) -> None:
@@ -213,6 +274,12 @@ class CleanupMemory:
             raise ValueError(f"pointer {name!r} already has a chunk")
         self._chunks[name] = composite
 
+    def drop_segment(self) -> None:
+        """Forget every segment entry and its chunk."""
+        for name in self._table.drop():
+            del self._kinds[name]
+            self._chunks.pop(name, None)
+
     def recall(self, v: np.ndarray) -> RecallResult:
         """Best entry for ``v``.
 
@@ -224,32 +291,33 @@ class CleanupMemory:
                 f"query dimension {v.shape[0]} != memory dimension {self.dim}"
             )
         self.recalls += 1
-        if not self._names:
+        if not self._kinds:
             raise MemoryEmptyError("memory is empty")
         best, score = self._table.best(v, 0)
         if score < self.floor:
             raise NoMatchError(
-                f"best match {self._names[best]!r} at {score:.3f} is below "
+                f"best match {best!r} at {score:.3f} is below "
                 f"the {self.floor} floor"
             )
         return RecallResult(
-            name=self._names[best],
+            name=best,
             vector=self._table.row(best),
             similarity=score,
             kind=self._kinds[best],
         )
 
     def best_since(self, v: np.ndarray, row: int) -> float:
-        """Highest similarity of ``v`` to the entries stored from ``row`` on.
+        """Highest similarity of ``v`` to the main entries from ``row`` on
+        and to every segment entry.
 
-        Not a recall: nothing is counted and no floor applies.  There must
-        be at least one such entry.
+        Not a recall: nothing is counted and no floor applies.  With no
+        such entry it is ``-inf``.
         """
         return self._table.best(v, row)[1]
 
     def stats(self) -> dict[str, int]:
         return {
-            "entries": len(self._names),
+            "entries": len(self._kinds),
             "chunks": len(self._chunks),
             "recalls": self.recalls,
         }

@@ -196,6 +196,20 @@ def test_a_decode_table_too_large_to_allocate_exits_2(tmp_path, method):
     assert "Traceback" not in err
 
 
+def test_a_dimension_too_large_to_allocate_exits_2(tmp_path):
+    script = tmp_path / "x.vl"
+    script.write_text("1\n")
+    # the first table, 3 x 10**13 phases, fails to allocate at once
+    code, out, err = cli(
+        "--dim", "10000000000000", "run", str(script), limit_memory=True
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:config:")
+    assert "10000000000000" in err
+    assert "Traceback" not in err
+
+
 def test_a_meta_command_error_keeps_the_repl_alive():
     code, out, err = cli(
         "--moduli", "3,5,1000003", "--decode", "exhaustive", "repl",

@@ -687,9 +687,10 @@ def test_a_restored_session_names_cells_as_the_live_one_does(session):
     session.save(buf)
     other = Session.restore(io.BytesIO(buf.getvalue()))
     for s in (session, other):
+        # the source's own cells are code- cells, gone when the form ends
         assert run(s, "(cons 1 2)") == "(1 . 2)"
-        with pytest.raises(EvalError, match="'cell-5' names an internal entry"):
-            run(s, "(quote cell-5)")
+        with pytest.raises(EvalError, match="'cell-0' names an internal entry"):
+            run(s, "(quote cell-0)")
     # both mint the same next cell, closure and env names
     rows = len(session.memory)
     assert len(other.memory) == rows
@@ -698,6 +699,17 @@ def test_a_restored_session_names_cells_as_the_live_one_does(session):
     minted = session.memory.names()[rows:]
     assert other.memory.names()[rows:] == minted
     assert {n.partition("-")[0] for n in minted} >= {"cell", "closure", "env"}
+
+
+def test_memory_size_holds_while_one_form_repeats(session):
+    # each form's own cells go when the form ends, so memory keeps only
+    # what values refer to: here, after the first call, nothing new
+    run(session, "(define sq (lambda (x) (* x x)))")
+    assert run(session, "(sq (+ 1 2))") == "9"
+    size = len(session.memory)
+    for _ in range(199):
+        assert run(session, "(sq (+ 1 2))") == "9"
+        assert len(session.memory) == size
 
 
 def test_restore_rejects_a_binding_ahead_of_its_scope(session):

@@ -244,6 +244,70 @@ def test_recall_and_best_since_follow_the_float64_kernel(seed):
             assert mem.best_since(query, start) == max(sims[start:])
 
 
+# -- the segment -------------------------------------------------------
+
+
+def test_segment_entries_are_recalled_counted_and_dropped(mem, rng):
+    a, b, c = (random_symbol(rng, D) for _ in range(3))
+    mem.add("a", a)
+    mem.add_chunk("s", b, superpose(b, a), segment=True)
+    assert mem.in_segment("s") and not mem.in_segment("a")
+    assert (len(mem), mem.main_rows) == (2, 1)
+    assert mem.recall(b).name == "s"
+    assert np.array_equal(mem.chunk("s"), superpose(b, a))
+    mem.add("c", c)  # a main append while the segment holds a row
+    assert mem.names() == ["a", "s", "c"]
+    for name, v in (("a", a), ("s", b), ("c", c)):
+        assert mem.recall(v).name == name
+        assert np.array_equal(mem.vector(name), v)
+    assert mem.best_since(b, 2) == pytest.approx(1.0)
+    mem.drop_segment()
+    assert (len(mem), mem.main_rows) == (2, 2)
+    assert "s" not in mem and mem.names() == ["a", "c"]
+    with pytest.raises(KeyError):
+        mem.chunk("s")
+    with pytest.raises(NoMatchError):
+        mem.recall(b)
+    # nothing past the main rows is scanned once the segment is gone
+    assert mem.best_since(b, 2) == -np.inf
+    mem.add("s", b)  # the name is free again
+    assert mem.recall(b).name == "s"
+
+
+def test_a_main_row_wins_a_tie_with_an_earlier_segment_row(mem, rng):
+    v = random_symbol(rng, D)
+    mem.add("seg", v, segment=True)
+    mem.add("main", v.copy())
+    assert mem.recall(v).name == "main"
+
+
+def test_segment_rows_survive_many_main_appends(rng):
+    mem = CleanupMemory(D)
+    seg = [random_symbol(rng, D) for _ in range(5)]
+    for i, v in enumerate(seg):
+        mem.add(f"s{i}", v, segment=True)
+    main = [random_symbol(rng, D) for _ in range(150)]  # past two growths
+    for i, v in enumerate(main):
+        mem.add(f"m{i}", v)
+    for prefix, rows in (("s", seg), ("m", main)):
+        for i, v in enumerate(rows):
+            assert mem.recall(v).name == f"{prefix}{i}"
+            assert np.array_equal(mem.vector(f"{prefix}{i}"), v)
+    assert mem.best_since(seg[3], 150) == similarity(seg[3], seg[3])
+    mem.drop_segment()
+    assert len(mem) == mem.main_rows == 150
+    assert mem.recall(main[149]).name == "m149"
+
+
+def test_segment_rows_are_read_only_copies(mem, rng):
+    v = random_symbol(rng, D)
+    mem.add("s", v, segment=True)
+    row = mem.vector("s")
+    assert not np.shares_memory(row, v)
+    with pytest.raises(ValueError):
+        row[0] = 0
+
+
 # -- environments ------------------------------------------------------
 
 
