@@ -95,6 +95,8 @@ def normalize(v: np.ndarray, zero_tol: float = 1e-12) -> np.ndarray:
     """
     mag = np.abs(v)
     zero = mag <= zero_tol
+    if not np.count_nonzero(zero):
+        return v / mag
     safe = np.where(zero, 1.0, mag)
     out = v / safe
     out[zero] = 1.0 + 0.0j

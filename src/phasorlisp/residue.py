@@ -34,7 +34,13 @@ from .errors import (
     SessionIOError,
 )
 from .fhrr import FLOOR, bind, phase_angles, random_symbol, similarities, similarity
-from .resonator import FactorCodebook, factorize
+from .resonator import (
+    ColumnClasses,
+    FactorBooks,
+    FactorCodebook,
+    column_classes,
+    factorize,
+)
 
 __all__ = [
     "ModuliSet",
@@ -106,18 +112,28 @@ class ResidueCodebook:
     so ``exp(1j * phases[i])`` is the base vector of modulus ``m_i``.
     ``tag`` is the atomic symbol superposed onto encoded integers by the
     interpreter to mark their type.  Codebooks are immutable after
-    construction, and what they cache (the code matrix, the per-modulus
-    factor codebooks, recent readings) is a pure function of the phase
-    tables, so any number of sessions in one thread may share one.
+    construction, and what they cache (the column classes, the code
+    matrix, the per-modulus factor codebooks, recent readings) is a pure
+    function of the phase tables, so any number of sessions in one thread
+    may share one.
+
+    Every code and every factor atom is, at element k, a function of the
+    phase column ``phases[:, k]`` alone, and there are at most ``range``
+    distinct columns.  So encoding and factorizing compute one entry per
+    column class (``classes()``) and gather it to ``dim`` elements.
     """
 
     moduli: ModuliSet
     dim: int
     phases: np.ndarray
     tag: np.ndarray
-    _phase_sum: np.ndarray = field(init=False, repr=False)
+    _classes: ColumnClasses | None = field(init=False, repr=False, default=None)
+    #: sum of the phase table's rows at the class representatives
+    _class_phase_sum: np.ndarray | None = field(
+        init=False, repr=False, default=None
+    )
     _candidates: np.ndarray | None = field(init=False, repr=False, default=None)
-    _factor_books: list[FactorCodebook] | None = field(
+    _factor_books: FactorBooks | None = field(
         init=False, repr=False, default=None
     )
     #: (method, floor, dtype, exact bytes) -> integer; see decode_residue
@@ -125,27 +141,35 @@ class ResidueCodebook:
         init=False, repr=False, default_factory=dict
     )
 
-    def __post_init__(self) -> None:
-        self._phase_sum = self.phases.sum(axis=0)
+    def classes(self) -> ColumnClasses:
+        """The elements grouped by phase column; built on first use."""
+        if self._classes is None:
+            self._classes = column_classes(self.phases)
+            self._class_phase_sum = self.phases[:, self._classes.reps].sum(axis=0)
+        return self._classes
 
     def candidates(self) -> np.ndarray:
         """(range, dim) matrix of every integer code; built once, cached."""
         if self._candidates is None:
+            of = self.classes().of
             with self._table(self.moduli.range):
                 xs = np.arange(self.moduli.range)
-                self._candidates = np.exp(1j * np.outer(xs, self._phase_sum))
+                codes = np.exp(1j * np.outer(xs, self._class_phase_sum))
+                self._candidates = codes[:, of]
         return self._candidates
 
-    def factor_codebooks(self) -> list[FactorCodebook]:
+    def factor_codebooks(self) -> FactorBooks:
         """One codebook per modulus: the codes of its residues 0..m-1."""
         if self._factor_books is None:
+            classes = self.classes()
             books = []
             with self._table(sum(self.moduli)):
                 for i, m in enumerate(self.moduli):
                     rs = np.arange(m)
-                    atoms = np.exp(1j * np.outer(rs, self.phases[i]))
+                    phases = self.phases[i, classes.reps]
+                    atoms = np.exp(1j * np.outer(rs, phases))[:, classes.of]
                     books.append(FactorCodebook(atoms=atoms, label=f"mod{m}"))
-            self._factor_books = books
+            self._factor_books = FactorBooks(books, classes)
         return self._factor_books
 
     @contextmanager
@@ -187,13 +211,15 @@ def encode_residue(cb: ResidueCodebook, x: int) -> np.ndarray:
     on the range-complement code.  An ``x`` beyond ``range`` in magnitude
     is first reduced mod ``range``: float64 cannot carry its product with
     a phase sum, which loses the phase or overflows.  Smaller values are
-    encoded as they stand, so their codes keep their bits.
+    encoded as they stand, so their codes keep their bits.  Each distinct
+    element is computed once per column class and gathered.
     """
     x = int(x)
     r = cb.moduli.range
     if abs(x) > r:
         x %= r
-    return np.exp(1j * (x * cb._phase_sum))
+    of = cb.classes().of
+    return np.exp(1j * (x * cb._class_phase_sum))[of]
 
 
 #: Carry-free addition is binding: code(a) * code(b) == code(a + b mod range).

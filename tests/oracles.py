@@ -69,3 +69,59 @@ def nearest_product(s: np.ndarray, books: list[np.ndarray]) -> tuple[int, ...]:
             k -= 1
         if k < 0:
             return best
+
+
+def resonate(
+    s: np.ndarray,
+    books: list[np.ndarray],
+    max_iters: int = 100,
+    patience: int = 3,
+    seed: int | None = None,
+) -> tuple[list[tuple[int, ...]], int, bool]:
+    """The resonator network swept over all D elements of every vector.
+
+    Each book is an (N_k, D) complex matrix.  Estimates start from each
+    book's normalized atom sum, or, given ``seed``, from the random
+    mixture drawn by ``default_rng((seed, slot))``.  Returns the winning
+    indices after the start and after each sweep, the sweep count and
+    whether the winners held for ``patience`` sweeps.
+    """
+
+    def unit(v: np.ndarray) -> np.ndarray:
+        mag = np.abs(v)
+        zero = mag <= 1e-12
+        out = v / np.where(zero, 1.0, mag)
+        out[zero] = 1.0
+        return out
+
+    def winners(estimates: list[np.ndarray]) -> tuple[int, ...]:
+        return tuple(
+            int(np.argmax((a @ e.conj()).real / a.shape[1]))
+            for a, e in zip(books, estimates)
+        )
+
+    if seed is None:
+        estimates = [unit(a.sum(axis=0)) for a in books]
+    else:
+        estimates = []
+        for slot, a in enumerate(books):
+            rng = np.random.default_rng((seed, slot))
+            w = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
+            estimates.append(unit(w @ a))
+    history = [winners(estimates)]
+    for sweep in range(1, max_iters + 1):
+        for k, a in enumerate(books):
+            residual = s
+            for j, e in enumerate(estimates):
+                if j != k:
+                    residual = residual * np.conj(e)
+            coeffs = a.conj() @ residual
+            gauge = coeffs[int(np.argmax(np.abs(coeffs)))]
+            gauge = gauge / abs(gauge) if abs(gauge) > 0.0 else 1.0
+            estimates[k] = unit((coeffs @ a) * np.conj(gauge))
+        history.append(winners(estimates))
+        if len(history) > patience and all(
+            history[-1] == history[-1 - i] for i in range(1, patience + 1)
+        ):
+            return history, sweep, True
+    return history, max_iters, False

@@ -125,6 +125,21 @@ def test_normalize_tolerance_catches_float_dust(rng):
     assert np.allclose(normalize(v), np.ones(D, dtype=np.complex128))
 
 
+def _normalize_by_mask(v, zero_tol=1e-12):
+    mag = np.abs(v)
+    zero = mag <= zero_tol
+    out = v / np.where(zero, 1.0, mag)
+    out[zero] = 1.0 + 0.0j
+    return out
+
+
+@pytest.mark.parametrize("zeros", [0, 1, 17])
+def test_normalize_gives_the_bytes_of_the_masked_formula(rng, zeros):
+    v = superpose(random_symbol(rng, D), random_symbol(rng, D))
+    v[:zeros] = 1e-13  # within zero_tol
+    assert normalize(v).tobytes() == _normalize_by_mask(v).tobytes()
+
+
 def test_phase_angles_roundtrip(rng):
     v = random_symbol(rng, D)
     assert np.allclose(np.exp(1j * phase_angles(v)), v)

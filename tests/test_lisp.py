@@ -250,6 +250,17 @@ def test_a_repeated_product_does_not_factorize_its_operand_again(
     assert len(factorized) == 1
 
 
+def test_the_column_classes_wait_for_the_first_integer():
+    session = Session()
+    book = session.codebook
+    assert book._classes is None
+    assert book._factor_books is None
+    assert run(session, "(+ 2 3)") == "5"
+    assert book._classes is not None
+    # the resonator reads the codebook's own classes
+    assert book.factor_codebooks().classes is book._classes
+
+
 def test_every_tabled_code_is_read_only_and_exact(session):
     r = session.moduli.range
     for x in range(-r, r + 1):

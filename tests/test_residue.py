@@ -140,8 +140,30 @@ def test_a_value_beyond_the_range_encodes_its_residue(cb):
 def test_a_value_within_the_range_keeps_its_bits(cb):
     r = cb.moduli.range
     for x in range(-r, r + 1):
-        expected = np.exp(1j * (x * cb._phase_sum))
+        expected = np.exp(1j * (x * cb.phases.sum(axis=0)))
         assert encode_residue(cb, x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "moduli,dim", [((3, 5, 7), 1000), ((3, 5, 7), 256), ((7, 11, 13), 1000)]
+)
+def test_codes_computed_per_column_class_keep_the_elementwise_bytes(moduli, dim):
+    book = make_codebook(ModuliSet(moduli), dim, new_rng(42))
+    r = book.moduli.range
+    assert len(book.classes()) <= r
+    phase_sum = book.phases.sum(axis=0)
+    values = list(range(-r - 5, r + 6))
+    values += [r * 1000 + 3, -(r * 1000) - 3, 10**17 + 1, -(10**21), 10**400 - 1]
+    for x in values:
+        x_used = x % r if abs(x) > r else x
+        expected = np.exp(1j * (x_used * phase_sum))
+        assert encode_residue(book, x).tobytes() == expected.tobytes(), x
+    codes = book.candidates()
+    for x in range(r):
+        assert codes[x].tobytes() == encode_residue(book, x).tobytes()
+    for i, (m, factor) in enumerate(zip(book.moduli, book.factor_codebooks())):
+        atoms = np.exp(1j * np.outer(np.arange(m), book.phases[i]))
+        assert factor.atoms.tobytes() == atoms.tobytes()
 
 
 # -- the decode memo ---------------------------------------------------
