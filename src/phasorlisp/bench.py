@@ -38,10 +38,10 @@ __all__ = [
 
 DEFAULT_MAGNITUDES = (5, 10, 20, 50, 100)
 
-#: timed iterations folded into one repetition, per encoding.  The
-#: residue op is sub-microsecond, so a single call would mostly measure
-#: the clock; list addition is slow enough to time one call at a time.
-_INNER = {"rhc": 100, "list": 1}
+#: timed residue additions folded into one repetition.  The op is
+#: sub-microsecond, so a single call would mostly measure the clock; list
+#: addition is slow enough to time one call at a time.
+_RHC_INNER = 100
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,15 @@ def list_decode(session: Session, v: np.ndarray) -> int:
 
 
 def list_add(session: Session, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Add by structural recursion: peel y, wrap x, until y is nil."""
-    if session.is_nil(y):
-        return x
+    """Add by structural recursion: peel y, wrap x, until y is nil.
+
+    The recursion is a tail call, run as a loop so that no magnitude
+    exhausts the host stack.
+    """
     nil = session.symbol("nil")
-    return list_add(session, session.cons(nil, x), session.cdr(y))
+    while not session.is_nil(y):
+        x, y = session.cons(nil, x), session.cdr(y)
+    return x
 
 
 def _median_ns(samples: list[float]) -> int:
@@ -122,14 +126,13 @@ def run_benchmark(
                 f"residue benchmark add decoded to {got}, "
                 f"expected {(2 * n) % modulus_range}"
             )
-        inner = _INNER["rhc"]
         samples = []
         for _ in range(reps):
             t0 = time.perf_counter_ns()
-            for _ in range(inner):
+            for _ in range(_RHC_INNER):
                 add_bind(u, u)
             t1 = time.perf_counter_ns()
-            samples.append((t1 - t0) / inner)
+            samples.append((t1 - t0) / _RHC_INNER)
         results.append(BenchResult("rhc", n, _median_ns(samples), reps, cfg.dim))
 
     for n in magnitudes:

@@ -84,17 +84,21 @@ def superpose(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u + v
 
 
-def normalize(v: np.ndarray, zero_tol: float = 1e-12) -> np.ndarray:
+#: Magnitude at or below which ``normalize`` treats an element as zero.
+_ZERO_TOL = 1e-12
+
+
+def normalize(v: np.ndarray) -> np.ndarray:
     """Project every element back onto the unit circle, keeping its phase.
 
-    Elements at (or within ``zero_tol`` of) zero carry no meaningful
+    Elements at (or within ``_ZERO_TOL`` of) zero carry no meaningful
     phase; by convention they become 1+0j so the operation is total and
     deterministic.  The tolerance matters for structured superpositions
     that cancel exactly in theory but leave float dust in practice, such
     as the sum of a complete roots-of-unity codebook.
     """
     mag = np.abs(v)
-    zero = mag <= zero_tol
+    zero = mag <= _ZERO_TOL
     if not np.count_nonzero(zero):
         return v / mag
     safe = np.where(zero, 1.0, mag)

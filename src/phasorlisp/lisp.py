@@ -160,8 +160,8 @@ class Session:
     Construction is deterministic in the seed: the codebook, the boolean
     and nil constants, the chunk roles and tags, and the global scope
     handle are minted in a fixed order.  All evaluation happens over
-    vectors; host Python holds only names, environment frames, and the
-    chunk inventory.
+    vectors; host Python holds names, environment frames, the chunk
+    inventory, and the memos of what chunk roles and runtime values read as.
     """
 
     def __init__(self, config: Config | None = None) -> None:

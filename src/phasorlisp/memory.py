@@ -5,9 +5,11 @@ neighbour queries under the real-part similarity kernel.  Entries carry a
 kind: plain symbols, or pointers that name a stored composite chunk,
 which ``chunk`` returns for unbinding.  Main entries are kept for good;
 entries added to the segment are dropped together, which is how a
-session forgets a top-level form's own cells.  Lexical scopes are chains of
-plain name -> vector dicts linked by parent pointers; they are only ever
-read by name, so they need no cleanup memory of their own.
+session forgets a top-level form's own cells.  The memory keeps one
+index of its live entries, from name to scan row; each row's kind and
+vector sit at the same position in lists beside it.  Lexical scopes are
+chains of plain name -> vector dicts linked by parent pointers; they are
+only ever read by name, so they need no cleanup memory of their own.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ __all__ = ["RecallResult", "CleanupMemory", "Environment"]
 
 #: Main rows per complex128 block.  A block is never reallocated, so a
 #: row handed out by ``vector`` or ``recall`` keeps no dropped buffer alive.
+#: Blocks rather than one copy per row: storing every main row as its own
+#: array read 3-4% more peak RSS on the ``repl`` and ``lists`` benchmarks.
 _BLOCK_ROWS = 64
 
 #: Unit roundoffs of float32 and float64: 2**-24 and 2**-53.
@@ -40,134 +44,6 @@ _U64 = float(np.finfo(np.float64).eps) / 2
 def _gamma(k: int, u: float) -> float:
     """Higham's gamma_k: relative error bound of a k-term float sum."""
     return k * u / (1 - k * u)
-
-
-class _VectorTable:
-    """Keyed rows: main rows, append-only, then a segment dropped whole.
-
-    Each row is stored once in complex128: a main row in a fixed block of
-    ``_BLOCK_ROWS``, a segment row as its own copy.  Rows are handed out
-    as read-only arrays, so a row kept by a caller pins no dropped buffer.
-    The scan matrix holds each row's conjugate rounded to complex64: the
-    main rows in the order they came, then the segment's rows.  A main
-    append while the segment holds rows moves the segment's first scan
-    row to the segment's end, so the live rows always form one range and
-    one product scans them.  The matrix grows by doubling; no view of it
-    leaves the table.
-
-    ``best`` scans in complex64 and rescores in float64, with
-    ``fhrr.similarity``, only the rows whose complex64 score lies within
-    2*delta of the complex64 maximum.  In unscaled sums with n = dim,
-    delta = (gamma_2n(u32) + 3*u32 + gamma_2n(u64) + u64) * max|m| * |v|
-    bounds the distance between a row's complex64 score and n times its
-    float64 similarity.  The real part of a complex dot is a real dot of
-    2n products, 3*u32 covers rounding both operands to complex64, and
-    Cauchy-Schwarz bounds sum |m_k||v_k|.  The float64 winner scores at
-    least top - 2*delta in complex64, so it is rescored; every row left
-    out scores below top - delta in float64, under the winner.  So the
-    answer is exactly the first scan row with the highest float64
-    similarity: on a tie, main rows win first, in the order they came.
-    """
-
-    def __init__(self, dim: int) -> None:
-        self._dim = dim
-        #: number of main rows; scan rows from here on are the segment's
-        self.main = 0
-        #: the block main rows are being written to, and its read-only view
-        self._block: np.ndarray | None = None
-        self._frozen: np.ndarray | None = None
-        #: key and complex128 row of each live scan row
-        self._keys: list[str] = []
-        self._rows: list[np.ndarray] = []
-        #: key -> scan row
-        self._index: dict[str, int] = {}
-        # rows past the live ones are never read, so no buffer is zeroed
-        self._scan = np.empty((_BLOCK_ROWS, dim), dtype=np.complex64)
-        #: largest row 2-norm stored; rows need not be unit phasors
-        self._max_norm = 0.0
-        n = 2 * dim
-        # twice delta per unit of max|m| * |v|; past 2n * u32 >= 1 no
-        # bound holds and every row is rescored (a finite stand-in for
-        # infinity, so that a zero norm gives a zero margin, not NaN)
-        self._slack = (
-            2 * (_gamma(n, _U32) + 3 * _U32 + _gamma(n, _U64) + _U64)
-            if n * _U32 < 1
-            else sys.float_info.max
-        )
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def row(self, key: str) -> np.ndarray:
-        """Read-only complex128 row stored under ``key``; KeyError if absent."""
-        return self._rows[self._index[key]]
-
-    def in_segment(self, key: str) -> bool:
-        i = self._index.get(key)
-        return i is not None and i >= self.main
-
-    def append(self, key: str, v: np.ndarray, segment: bool = False) -> None:
-        """Store ``v`` under a new ``key``, as a main row or in the segment."""
-        n = len(self._keys)
-        if n == self._scan.shape[0]:
-            grown = np.empty((2 * n, self._dim), dtype=np.complex64)
-            grown[:n] = self._scan
-            self._scan = grown
-        if segment:
-            i = n
-            row = np.array(v, dtype=np.complex128)
-            row.flags.writeable = False
-        else:
-            i = self.main
-            if i % _BLOCK_ROWS == 0:
-                self._block = np.empty((_BLOCK_ROWS, self._dim), dtype=np.complex128)
-                self._frozen = self._block.view()
-                self._frozen.flags.writeable = False
-            self._block[i % _BLOCK_ROWS] = v
-            row = self._frozen[i % _BLOCK_ROWS]
-            self.main = i + 1
-        keys, rows = self._keys, self._rows
-        keys.append(key)
-        rows.append(row)
-        if i < n:  # main rows come first: the segment row at ``i`` moves to the end
-            keys[i], keys[n] = key, keys[i]
-            rows[i], rows[n] = row, rows[i]
-            self._index[keys[n]] = n
-            self._scan[n] = self._scan[i]
-        self._index[key] = i
-        scan_row = self._scan[i]
-        scan_row[:] = v
-        np.conjugate(scan_row, out=scan_row)
-        self._max_norm = max(self._max_norm, math.sqrt(np.vdot(v, v).real))
-
-    def drop(self) -> list[str]:
-        """Drop every segment row; returns their keys."""
-        dropped = self._keys[self.main :]
-        del self._keys[self.main :]
-        del self._rows[self.main :]
-        for key in dropped:
-            del self._index[key]
-        return dropped
-
-    def best(self, v: np.ndarray, start: int) -> tuple[str | None, float]:
-        """First scan row from ``start`` on with the highest similarity to ``v``.
-
-        Returns its key and its ``fhrr.similarity``, or ``(None, -inf)``
-        when no row lies past ``start``.
-        """
-        if start >= len(self._keys):
-            return None, -math.inf
-        scores = (self._scan[start : len(self._keys)] @ v.astype(np.complex64)).real
-        top = float(scores.max())
-        cut = top - self._slack * self._max_norm * math.sqrt(np.vdot(v, v).real)
-        # comparing float32 scores with ``cut`` rounds ``cut`` to float32;
-        # rounding is monotone, so no score at or above ``cut`` drops out
-        best, best_score = -1, -math.inf
-        for i in np.flatnonzero(scores >= cut).tolist():
-            s = similarity(self._rows[start + i], v)
-            if s > best_score:
-                best, best_score = start + i, s
-        return self._keys[best], best_score
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +66,30 @@ class CleanupMemory:
     ``drop_segment`` forgets whole, chunks included.  Recall scans both,
     and on equal scores a main entry wins over a segment entry.
     Recalls are counted so benchmarks can report memory traffic.
+
+    One index maps each live name to its scan row, and the row's name,
+    kind and complex128 vector sit at that position in three lists.  A
+    main vector is stored in a fixed block of ``_BLOCK_ROWS``, a segment
+    vector as its own copy; both are handed out read-only, so a vector
+    kept by a caller pins no dropped buffer.  The scan matrix holds each
+    vector's conjugate rounded to complex64: the main rows in the order
+    they came, then the segment's rows.  A main append while the segment
+    holds rows moves the segment's first scan row to the segment's end,
+    so the live rows always form one range and one product scans them.
+    The matrix grows by doubling; no view of it leaves the memory.
+
+    ``_best`` scans in complex64 and rescores in float64, with
+    ``fhrr.similarity``, only the rows whose complex64 score lies within
+    2*delta of the complex64 maximum.  In unscaled sums with n = dim,
+    delta = (gamma_2n(u32) + 3*u32 + gamma_2n(u64) + u64) * max|m| * |v|
+    bounds the distance between a row's complex64 score and n times its
+    float64 similarity.  The real part of a complex dot is a real dot of
+    2n products, 3*u32 covers rounding both operands to complex64, and
+    Cauchy-Schwarz bounds sum |m_k||v_k|.  The float64 winner scores at
+    least top - 2*delta in complex64, so it is rescored; every row left
+    out scores below top - delta in float64, under the winner.  So the
+    answer is exactly the first scan row with the highest float64
+    similarity: on a tie, main rows win first, in the order they came.
     """
 
     def __init__(self, dim: int, floor: float = FLOOR) -> None:
@@ -198,34 +98,51 @@ class CleanupMemory:
         self.dim = dim
         self.floor = floor
         self.recalls = 0
-        self._table = _VectorTable(dim)
-        #: name -> kind, in the order the live entries came
-        self._kinds: dict[str, str] = {}
+        #: number of main entries, which never falls; scan rows from here
+        #: on are the segment's
+        self.main_rows = 0
+        #: name -> scan row of every live entry, in the order they came
+        self._index: dict[str, int] = {}
+        #: name, kind and read-only complex128 vector of each scan row
+        self._names: list[str] = []
+        self._kinds: list[str] = []
+        self._rows: list[np.ndarray] = []
         self._chunks: dict[str, np.ndarray] = {}
+        #: the block main rows are being written to, and its read-only view
+        self._block: np.ndarray | None = None
+        self._frozen: np.ndarray | None = None
+        # rows past the live ones are never read, so no buffer is zeroed
+        self._scan = np.empty((_BLOCK_ROWS, dim), dtype=np.complex64)
+        #: largest row 2-norm stored; rows need not be unit phasors
+        self._max_norm = 0.0
+        n = 2 * dim
+        # twice delta per unit of max|m| * |v|; past 2n * u32 >= 1 no
+        # bound holds and every row is rescored (a finite stand-in for
+        # infinity, so that a zero norm gives a zero margin, not NaN)
+        self._slack = (
+            2 * (_gamma(n, _U32) + 3 * _U32 + _gamma(n, _U64) + _U64)
+            if n * _U32 < 1
+            else sys.float_info.max
+        )
 
     def __len__(self) -> int:
         """Live entries: the main ones and the segment's."""
-        return len(self._kinds)
+        return len(self._index)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._kinds
-
-    @property
-    def main_rows(self) -> int:
-        """Number of main entries; it never falls."""
-        return self._table.main
+        return name in self._index
 
     def in_segment(self, name: str | None) -> bool:
-        return self._table.in_segment(name)
+        return self._index.get(name, -1) >= self.main_rows
 
     def names(self, kind: str | None = None) -> list[str]:
         if kind is None:
-            return list(self._kinds)
-        return [n for n, k in self._kinds.items() if k == kind]
+            return list(self._index)
+        return [n for n, i in self._index.items() if self._kinds[i] == kind]
 
     def vector(self, name: str) -> np.ndarray:
         """Stored vector for ``name``, read-only; KeyError if absent."""
-        return self._table.row(name)
+        return self._rows[self._index[name]]
 
     def chunk(self, name: str) -> np.ndarray:
         """Stored composite for pointer ``name``; KeyError if absent."""
@@ -233,7 +150,7 @@ class CleanupMemory:
 
     def kind(self, name: str) -> str:
         """Stored kind for ``name``; KeyError if absent."""
-        return self._kinds[name]
+        return self._kinds[self._index[name]]
 
     def add(
         self, name: str, v: np.ndarray, kind: str = "symbol", segment: bool = False
@@ -243,10 +160,41 @@ class CleanupMemory:
             raise DimensionError(
                 f"vector dimension {v.shape[0]} != memory dimension {self.dim}"
             )
-        if name in self._kinds:
+        if name in self._index:
             raise ValueError(f"entry {name!r} already stored")
-        self._table.append(name, v, segment)
-        self._kinds[name] = kind
+        n = len(self._names)
+        if n == self._scan.shape[0]:
+            grown = np.empty((2 * n, self.dim), dtype=np.complex64)
+            grown[:n] = self._scan
+            self._scan = grown
+        if segment:
+            i = n
+            row = np.array(v, dtype=np.complex128)
+            row.flags.writeable = False
+        else:
+            i = self.main_rows
+            if i % _BLOCK_ROWS == 0:
+                self._block = np.empty((_BLOCK_ROWS, self.dim), dtype=np.complex128)
+                self._frozen = self._block.view()
+                self._frozen.flags.writeable = False
+            self._block[i % _BLOCK_ROWS] = v
+            row = self._frozen[i % _BLOCK_ROWS]
+            self.main_rows = i + 1
+        names, kinds, rows = self._names, self._kinds, self._rows
+        names.append(name)
+        kinds.append(kind)
+        rows.append(row)
+        if i < n:  # main rows come first: the segment row at ``i`` moves to the end
+            names[i], names[n] = name, names[i]
+            kinds[i], kinds[n] = kind, kinds[i]
+            rows[i], rows[n] = row, rows[i]
+            self._index[names[n]] = n
+            self._scan[n] = self._scan[i]
+        self._index[name] = i
+        scan_row = self._scan[i]
+        scan_row[:] = v
+        np.conjugate(scan_row, out=scan_row)
+        self._max_norm = max(self._max_norm, math.sqrt(np.vdot(v, v).real))
 
     def add_chunk(
         self,
@@ -276,9 +224,32 @@ class CleanupMemory:
 
     def drop_segment(self) -> None:
         """Forget every segment entry and its chunk."""
-        for name in self._table.drop():
-            del self._kinds[name]
+        main = self.main_rows
+        for name in self._names[main:]:
+            del self._index[name]
             self._chunks.pop(name, None)
+        del self._names[main:], self._kinds[main:], self._rows[main:]
+
+    def _best(self, v: np.ndarray, start: int) -> tuple[int, float]:
+        """First scan row from ``start`` on with the highest similarity to ``v``.
+
+        Returns the row and its ``fhrr.similarity``, or ``(-1, -inf)``
+        when no row lies past ``start``.
+        """
+        live = len(self._names)
+        if start >= live:
+            return -1, -math.inf
+        scores = (self._scan[start:live] @ v.astype(np.complex64)).real
+        top = float(scores.max())
+        cut = top - self._slack * self._max_norm * math.sqrt(np.vdot(v, v).real)
+        # comparing float32 scores with ``cut`` rounds ``cut`` to float32;
+        # rounding is monotone, so no score at or above ``cut`` drops out
+        best, best_score = -1, -math.inf
+        for i in np.flatnonzero(scores >= cut).tolist():
+            s = similarity(self._rows[start + i], v)
+            if s > best_score:
+                best, best_score = start + i, s
+        return best, best_score
 
     def recall(self, v: np.ndarray) -> RecallResult:
         """Best entry for ``v``.
@@ -291,19 +262,17 @@ class CleanupMemory:
                 f"query dimension {v.shape[0]} != memory dimension {self.dim}"
             )
         self.recalls += 1
-        if not self._kinds:
+        if not self._index:
             raise MemoryEmptyError("memory is empty")
-        best, score = self._table.best(v, 0)
+        i, score = self._best(v, 0)
+        name = self._names[i]
         if score < self.floor:
             raise NoMatchError(
-                f"best match {best!r} at {score:.3f} is below "
+                f"best match {name!r} at {score:.3f} is below "
                 f"the {self.floor} floor"
             )
         return RecallResult(
-            name=best,
-            vector=self._table.row(best),
-            similarity=score,
-            kind=self._kinds[best],
+            name=name, vector=self._rows[i], similarity=score, kind=self._kinds[i]
         )
 
     def best_since(self, v: np.ndarray, row: int) -> float:
@@ -313,11 +282,11 @@ class CleanupMemory:
         Not a recall: nothing is counted and no floor applies.  With no
         such entry it is ``-inf``.
         """
-        return self._table.best(v, row)[1]
+        return self._best(v, row)[1]
 
     def stats(self) -> dict[str, int]:
         return {
-            "entries": len(self._kinds),
+            "entries": len(self._index),
             "chunks": len(self._chunks),
             "recalls": self.recalls,
         }

@@ -321,15 +321,14 @@ def mul_bind(
     u: np.ndarray,
     v: np.ndarray,
     method: str = "exhaustive",
-    floor: float = FLOOR,
 ) -> np.ndarray:
     """code(a) * code(b) -> code(a*b mod range), by decode-then-exponentiate.
 
-    ``v`` is decoded to its integer value with ``method`` and ``floor`` and
-    ``u`` is raised elementwise to that power.  An undecodable ``v``
-    propagates ``DecodeError``.
+    ``v`` is decoded to its integer value with ``method``, at
+    ``decode_residue``'s default floor, and ``u`` is raised elementwise to
+    that power.  An undecodable ``v`` propagates ``DecodeError``.
     """
-    x2 = decode_residue(cb, v, method=method, floor=floor)
+    x2 = decode_residue(cb, v, method=method)
     return np.exp(1j * (phase_angles(u) * x2))
 
 
@@ -337,14 +336,13 @@ def mod_inverse(
     cb: ResidueCodebook,
     v: np.ndarray,
     method: str = "exhaustive",
-    floor: float = FLOOR,
 ) -> np.ndarray:
     """Code of the multiplicative inverse of the integer encoded by ``v``.
 
-    ``v`` is decoded as by ``mul_bind``.  Defined only when the decoded
-    value is co-prime with the range.
+    ``v`` is decoded as by ``mul_bind``, at ``decode_residue``'s default
+    floor.  Defined only when the decoded value is co-prime with the range.
     """
-    x2 = decode_residue(cb, v, method=method, floor=floor)
+    x2 = decode_residue(cb, v, method=method)
     r = cb.moduli.range
     g = math.gcd(x2, r)
     if g != 1:

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,18 @@ def test_list_add_zero_is_neutral(shared):
     z = list_encode(shared, 0)
     assert list_decode(shared, list_add(shared, a, z)) == 4
     assert list_decode(shared, list_add(shared, z, a)) == 4
+
+
+def test_list_add_takes_no_host_frame_per_unit():
+    session = Session()
+    a, b = list_encode(session, 1), list_encode(session, 150)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        total = list_add(session, a, b)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert list_decode(session, total) == 151
 
 
 def test_run_benchmark_produces_both_encodings():

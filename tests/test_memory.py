@@ -260,10 +260,15 @@ def test_segment_entries_are_recalled_counted_and_dropped(mem, rng):
     for name, v in (("a", a), ("s", b), ("c", c)):
         assert mem.recall(v).name == name
         assert np.array_equal(mem.vector(name), v)
+    # the kinds moved with the rows: s's scan row went past c's
+    assert mem.kind("s") == mem.recall(b).kind == "pointer"
+    assert mem.kind("c") == mem.recall(c).kind == "symbol"
+    assert mem.names(kind="pointer") == ["s"]
     assert mem.best_since(b, 2) == pytest.approx(1.0)
     mem.drop_segment()
     assert (len(mem), mem.main_rows) == (2, 2)
     assert "s" not in mem and mem.names() == ["a", "c"]
+    assert mem.names(kind="pointer") == []
     with pytest.raises(KeyError):
         mem.chunk("s")
     with pytest.raises(NoMatchError):
@@ -272,6 +277,7 @@ def test_segment_entries_are_recalled_counted_and_dropped(mem, rng):
     assert mem.best_since(b, 2) == -np.inf
     mem.add("s", b)  # the name is free again
     assert mem.recall(b).name == "s"
+    assert mem.kind("s") == mem.recall(b).kind == "symbol"
 
 
 def test_a_main_row_wins_a_tie_with_an_earlier_segment_row(mem, rng):
