@@ -7,10 +7,12 @@ from phasorlisp import (
     MemoryEmptyError,
     NoMatchError,
     UnboundSymbolError,
+    bind,
     new_rng,
     random_symbol,
     similarity,
     superpose,
+    unbind,
 )
 
 D = 256
@@ -221,27 +223,127 @@ def test_the_first_of_two_identical_rows_wins(mem, rng):
     assert mem.best_since(v, 1) == similarity(v, v)
 
 
+def _stored_rows(gen, dim, count):
+    """(vector, in segment) pairs in the order they are added: non-unit
+    rows, superpositions near earlier rows, exact duplicates, rows equal
+    to an earlier one on the first half only, first-half-only nudges of
+    1e-7, and segment rows among the main ones, no two of them equal."""
+    h = -(-dim // 2)  # the columns recall reads first
+    rows, segment = [], []
+    while len(rows) < count:
+        v = random_symbol(gen, dim) * gen.uniform(0.2, 3.0)
+        kind = gen.integers(6)
+        if rows and kind > 0:
+            old = rows[gen.integers(len(rows))][0]
+            if kind == 1:  # a superposition near an earlier row
+                v = v * 0.1 + old
+            elif kind == 2:  # an exact duplicate
+                v = old.copy()
+            elif kind == 3:  # the same first half, a different second half
+                v[:h] = old[:h]
+            elif kind == 4:  # a first-half-only nudge
+                v = old.copy()
+                v[gen.integers(h)] += 1e-7
+        in_segment = bool(gen.integers(3) == 0)
+        if in_segment and any(np.array_equal(v, u) for u in segment):
+            continue
+        if in_segment:
+            segment.append(v)
+        rows.append((v, in_segment))
+    return rows
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_recall_and_best_since_follow_the_float64_kernel(seed):
-    """Non-unit rows and queries: the scan's answers equal a per-row argmax."""
+    """The scan's answers equal a per-row float64 argmax over the main
+    rows in the order they came, then the segment's, at odd and even
+    dims, one-column ones among them, and queries with 0-5 crosstalk
+    terms."""
     gen = np.random.default_rng(seed)
-    mem = CleanupMemory(D, floor=0.0)
-    rows = []
-    for i in range(150):
-        v = random_symbol(gen, D) * gen.uniform(0.2, 3.0)
-        if i % 3 == 0 and rows:  # superpositions, near earlier rows
-            v = v * 0.1 + rows[gen.integers(len(rows))]
-        rows.append(v)
-        mem.add(f"r{i}", v)
-    for _ in range(30):
-        query = rows[gen.integers(len(rows))] * gen.uniform(0.5, 2.0)
-        query = query + 0.8 * random_symbol(gen, D)
-        sims = [similarity(r, query) for r in rows]
+    for dim in (1, 2, 3, 7, 64, 257, 1000, 1001):
+        mem = CleanupMemory(dim, floor=-np.inf)
+        rows = _stored_rows(gen, dim, 150)
+        for i, (v, in_segment) in enumerate(rows):
+            mem.add(f"r{i}", v, segment=in_segment)
+        # the oracle's order: main rows as they came, then segment rows
+        order = [i for i, (_, s) in enumerate(rows) if not s]
+        main = len(order)
+        order += [i for i, (_, s) in enumerate(rows) if s]
+        for _ in range(30):
+            query = rows[gen.integers(len(rows))][0] * gen.uniform(0.5, 2.0)
+            for _ in range(gen.integers(6)):
+                query = query + random_symbol(gen, dim) * gen.uniform(0.2, 1.5)
+            sims = [similarity(rows[i][0], query) for i in order]
+            hit = mem.recall(query)
+            assert hit.name == f"r{order[int(np.argmax(sims))]}"
+            assert hit.similarity == max(sims)
+            for start in (0, main // 2, main):
+                assert mem.best_since(query, start) == max(sims[start:])
+
+
+def test_a_row_leading_on_the_first_half_loses_to_the_whole_row_winner():
+    gen = np.random.default_rng(3)
+    h = D // 2
+    query = random_symbol(gen, D)
+    lead = random_symbol(gen, D)
+    lead[:h] = query[:h]  # all of the first half, none of the second
+    winner = query.copy()
+    winner[: h // 4] = random_symbol(gen, h // 4)  # most of both halves
+    mem = CleanupMemory(D)
+    mem.add("lead", lead)
+    mem.add("winner", winner)
+    for i in range(50):
+        mem.add(f"n{i}", random_symbol(gen, D))
+    conj = np.conj(np.stack([lead, winner]))
+    first_half = (conj[:, :h] @ query[:h]).real
+    assert first_half[0] > first_half[1]
+    assert similarity(winner, query) > similarity(lead, query)
+    hit = mem.recall(query)
+    assert hit.name == "winner"
+    assert hit.similarity == similarity(winner, query)
+
+
+def test_near_ties_on_rows_with_an_empty_second_half_go_to_the_float64_winner():
+    # Rows that are zero past their first three columns bound the unread
+    # half at 0, so only the 2*delta margin keeps the float64 winner in
+    # when complex64 ranks its near-twin first.
+    gen = np.random.default_rng(11)
+    ulp = 2.0**-23  # float32 spacing in [1, 2)
+    for _ in range(1000):
+        query = np.zeros(D, dtype=np.complex128)
+        query[:3] = gen.uniform(1.0, 2.0, 3)
+        base = gen.uniform(1.0, 2.0, 3)
+        mem = CleanupMemory(D, floor=0.0)
+        rows = []
+        for i in range(2):
+            row = np.zeros(D, dtype=np.complex128)
+            row[:3] = base + gen.integers(-4, 5, 3) * gen.uniform(0, ulp, 3)
+            rows.append(row)
+            mem.add(f"r{i}", row)
+        sims = [similarity(row, query) for row in rows]
         hit = mem.recall(query)
         assert hit.name == f"r{int(np.argmax(sims))}"
         assert hit.similarity == max(sims)
-        for start in (0, 64, 149):
-            assert mem.best_since(query, start) == max(sims[start:])
+
+
+def test_a_clean_winner_is_recalled_from_the_first_half_of_the_scan():
+    # Poisoning the second half of every other scan row with NaN leaves
+    # recall's answer alone only if it never reads those columns.
+    dim = 1000
+    gen = np.random.default_rng(7)
+    mem = CleanupMemory(dim)
+    atoms = [random_symbol(gen, dim) for _ in range(300)]
+    for i, v in enumerate(atoms):
+        mem.add(f"a{i}", v)
+    roles = atoms[:3]
+    chunk = sum(bind(r, atoms[10 + k]) for k, r in enumerate(roles))
+    query = unbind(chunk, roles[0])  # a10 plus two crosstalk terms
+    winner = mem._index["a10"]
+    others = np.arange(len(mem)) != winner
+    mem._scan[np.flatnonzero(others), dim // 2:] = np.nan
+    hit = mem.recall(query)
+    assert hit.name == "a10"
+    assert hit.similarity == similarity(atoms[10], query)
 
 
 # -- the segment -------------------------------------------------------
@@ -285,6 +387,18 @@ def test_a_main_row_wins_a_tie_with_an_earlier_segment_row(mem, rng):
     mem.add("seg", v, segment=True)
     mem.add("main", v.copy())
     assert mem.recall(v).name == "main"
+
+
+def test_each_main_append_rotates_which_identical_segment_row_wins(mem, rng):
+    v = random_symbol(rng, D)
+    mem.add("s1", v, segment=True)
+    mem.add("s2", v.copy(), segment=True)
+    assert mem.recall(v).name == "s1"
+    # the segment's first scan row moves to its end on each main append
+    mem.add("m1", random_symbol(rng, D))
+    assert mem.recall(v).name == "s2"
+    mem.add("m2", random_symbol(rng, D))
+    assert mem.recall(v).name == "s1"
 
 
 def test_segment_rows_survive_many_main_appends(rng):

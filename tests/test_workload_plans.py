@@ -20,6 +20,7 @@ import numpy as np  # noqa: E402
 
 from phasorlisp import (  # noqa: E402
     CleanupMemory,
+    Config,
     MemoryEmptyError,
     NoMatchError,
     PhasorError,
@@ -157,9 +158,9 @@ def _transcript(session, sources, after_form=None):
     return out
 
 
-def _run(cls, sources, check, after_form=None):
+def _run(cls, sources, check, after_form=None, config=None):
     """Transcript, saved bytes, and the check form on the restored copy."""
-    session = cls()
+    session = cls(config)
     printed = _transcript(session, sources, after_form)
     buf = io.BytesIO()
     session.save(buf)
@@ -213,6 +214,16 @@ def test_memo_leaves_transcripts_and_session_files_unchanged(sources, check):
 @pytest.mark.parametrize("sources, check", _CASES)
 def test_complex64_scan_matches_a_float64_scan(sources, check):
     assert _reference(sources, check)[0] == _run(Float64Recall, sources, check)
+
+
+def test_complex64_scan_matches_a_float64_scan_at_dim_256():
+    # At dim 256 about half of the recalls cannot stop after the first
+    # half of the scan rows, so both of recall's paths run.
+    sources, check = _plan_sources("programs")
+    config = Config(dim=256)
+    assert _run(Session, sources, check, config=config) == _run(
+        Float64Recall, sources, check, config=config
+    )
 
 
 @pytest.mark.parametrize("sources, check", _CASES)
