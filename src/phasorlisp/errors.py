@@ -12,7 +12,8 @@ class PhasorError(Exception):
 
 
 class DimensionError(PhasorError):
-    """Operands have incompatible or invalid dimensions."""
+    """Operands have incompatible or invalid dimensions, or a vector to be
+    stored has a component that is not finite or lies beyond float32 range."""
 
     kind = "dimension"
 

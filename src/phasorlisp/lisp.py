@@ -82,7 +82,8 @@ _ROLE_NAMES = ("#head", "#tail", "#params", "#body", "#env")
 _TAG_NAMES = ("#cons", "#lambda")
 
 #: name prefix of the cells of a top-level form's spine, numbered afresh
-#: each form; they live in the memory's segment until the form ends
+#: each form; they live in the memory's segment until the form ends, and
+#: each ``code-<n>`` takes the same pooled pointer in every form
 _SPINE = "code"
 
 #: Most runtime values one session keeps resolved; the oldest goes first.
@@ -129,11 +130,13 @@ class Resolved:
     read-only unless the kind is ``unknown``.
     ``similarity`` is the recall score of the winning memory entry, or
     ``None`` for an integer or an unknown vector.  The evaluator hands
-    code from step to step as ``Resolved``, ``Session._unbind_role``
-    resolves each part of a chunk once per session, and
-    ``Session._resolve_value`` each recent runtime value, and both hand
-    out the very ``Resolved`` they stored, so a vector the session has
-    already cleaned up is not cleaned up, or rebuilt, again.
+    code from step to step as ``Resolved``.  ``Session._unbind_role``
+    resolves each part of a main chunk once per session, and
+    ``Session._resolve_value`` each recent runtime value and spine part
+    by its bytes.  Both hand out the very ``Resolved`` they stored, so a
+    vector the session has already cleaned up is not cleaned up, or
+    rebuilt, again; only a reading whose winner is a spine cell is
+    rebuilt, from the cell's current row and chunk, in a later form.
     """
 
     kind: str
@@ -194,14 +197,15 @@ class Session:
         #: code- entry may take; a restored session starts from 0 and skips
         #: what it holds, and code- restarts from 0 each form
         self._counts = {"cell": 0, "closure": 0, "env": 0, _SPINE: 0}
-        #: top-level forms begun; see _memoized_resolve
-        self._form = 0
-        #: (chunk name, role) -> (reading, main rows then, form then); see
+        #: spine cell name -> its read-only pointer; see _spine_pointer
+        self._pool: dict[str, np.ndarray] = {}
+        #: (main chunk name, role) -> (reading, main rows then, memory
+        #: changes then, whether the winner was a segment entry); see
         #: _unbind_role
-        self._readings: dict[tuple[str, str], tuple[Resolved, int, int]] = {}
-        #: exact value bytes -> (reading, main rows then, form then); see
-        #: _resolve_value
-        self._values: dict[bytes, tuple[Resolved, int, int]] = {}
+        self._readings: dict[tuple[str, str], tuple[Resolved, int, int, bool]] = {}
+        #: exact value bytes -> (reading, main rows then, memory changes
+        #: then, whether the winner was a segment entry); see _resolve_value
+        self._values: dict[bytes, tuple[Resolved, int, int, bool]] = {}
 
     def _bootstrap(self) -> None:
         self.memory.add(_INT_NAME, self.codebook.tag)
@@ -291,10 +295,34 @@ class Session:
         for role, filler in parts:
             # ``+``, not ``+=``: the first operand is the tag's read-only row
             composite = composite + bind(self._role(role), filler)
-        pointer = random_symbol(self.rng, self.config.dim)
-        self.memory.add_chunk(
-            self._next_name(prefix), pointer, composite, segment=prefix == _SPINE
-        )
+        name = self._next_name(prefix)
+        spine = prefix == _SPINE
+        if spine:
+            pointer = self._spine_pointer(name)
+        else:
+            pointer = random_symbol(self.rng, self.config.dim)
+        self.memory.add_chunk(name, pointer, composite, segment=spine)
+        return pointer
+
+    def _spine_pointer(self, name: str) -> np.ndarray:
+        """The read-only pointer of spine cell ``name``, from the pool.
+
+        The first form that needs ``name`` draws its pointer from the
+        session's generator, as any other pointer is drawn; every later
+        form reuses it and advances the generator past the draw it skips
+        (PCG64 spends one 64-bit output per double, and the session draws
+        only doubles once its codebook is made).  So the generator's
+        stream, and every vector that outlives a form, is what it would
+        be with a fresh draw per cell, and a sub-form that repeats an
+        earlier one at the same cell numbers rebuilds its chunks bit for
+        bit.  A restored session starts with an empty pool.
+        """
+        pointer = self._pool.get(name)
+        if pointer is None:
+            pointer = self._pool[name] = random_symbol(self.rng, self.config.dim)
+            pointer.flags.writeable = False
+        else:
+            self.rng.bit_generator.advance(self.config.dim)
         return pointer
 
     def encode(self, expr: SExpr) -> np.ndarray:
@@ -320,7 +348,11 @@ class Session:
         can refer to a spine cell once the form ends: ``define`` returns
         its symbol and no primitive returns code.  Special forms are known
         by their head's name alone, so the split is exact.  The generator
-        is drawn in the order ``encode`` draws it.
+        is drawn in the order ``encode`` draws it, but cell ``code-<n>``
+        takes the session's pooled pointer for n (see ``_spine_pointer``),
+        so a sub-form that repeats an earlier form's at the same cell
+        numbers is rebuilt bit for bit, and so are the readings of its
+        parts.
         """
         if not isinstance(expr, ListExpr):
             return self.encode(expr)
@@ -361,79 +393,100 @@ class Session:
             return Resolved("unknown", None, None, v)
         if failed is not None and hit.name == _INT_NAME:
             raise failed
-        kind = hit.kind
+        return self._named(hit.name, hit.similarity)
+
+    def _named(self, name: str, score: float) -> Resolved:
+        """The reading of memory entry ``name`` as the winner of a recall
+        that scored ``score``; a pointer's kind comes from the chunk it
+        names at the time of the call."""
+        kind = self.memory.kind(name)
         if kind == "symbol":
-            if hit.name in ("t", "f"):
+            if name in ("t", "f"):
                 kind = "bool"
-            elif hit.name == "nil":
+            elif name == "nil":
                 kind = "nil"
         elif kind == "pointer":
-            chunk = self.memory.chunk(hit.name)
+            chunk = self.memory.chunk(name)
             for tag in _TAG_NAMES:
                 if similarity(chunk, self._role(tag)) > self.config.theta:
                     kind = tag[1:]
                     break
-        return Resolved(kind, hit.name, None, hit.vector, hit.similarity)
+        return Resolved(kind, name, None, self.memory.vector(name), score)
 
     def _memoized_resolve(
-        self,
-        memo: dict,
-        key: object,
-        vector: Callable[[], np.ndarray],
-        owner: str | None = None,
+        self, memo: dict, key: object, vector: Callable[[], np.ndarray]
     ) -> Resolved:
         """``resolve(vector())``, answered from ``memo[key]`` while exact.
 
-        ``key`` must stand for one vector while the memo holds it; ``owner``
-        names the chunk it was unbound from, if any.  A hit returns exactly
-        what a fresh ``resolve`` would.  An integer reading is final: it
-        depends only on the vector and on the session's codebook and
-        config.  A reading is marked with the main memory size and the form
-        number it was taken at.  Main memory is append-only, a form's
-        segment is written before any reading of the form and dropped at
-        its end, and recall keeps the first of equal best matches under one
-        per-row float64 kernel, main entries first; dropping entries that
-        did not win changes no winner.  So a recalled entry stays the
-        winner unless a main entry added since, or an entry of a segment
-        written since, scores at least as high.  Unless the mark is still
-        current, the main entries added since and the whole segment are
-        scored; if one ties or beats the remembered score, the vector is
-        resolved in full.  Unknown readings are not kept, and misses go
-        through ``resolve``.  A reading whose owner or result is a segment
-        entry is dropped with the segment.  A hit returns the very
-        ``Resolved`` that ``resolve`` returned.  Its read-only vector is a
-        memory row, never reallocated, or an integer's own code, so a
-        reading pins no dropped buffer.
+        ``key`` must stand for one vector for as long as the memo holds
+        it.  A hit returns exactly what a fresh ``resolve`` would.  An
+        integer reading is final: it depends only on the vector and on the
+        session's codebook and config.  Any other reading, with winner W
+        and score s, is marked with the main memory size M0 and the
+        memory's change count, and with whether W was a segment entry.
+        While the memory has not changed since, the reading is served as
+        it is.  Otherwise the main rows from M0 on and the current segment
+        are scanned once; recall keeps the first of equal best matches
+        under one per-row float64 kernel, main rows first, main memory is
+        append-only, and a dropped segment row cannot win.  The reading is
+        served when:
+
+        - W was a main entry and that scan's best score is below s: no
+          row that could tie or beat W was added since.
+        - W was a segment entry, the scan's first best is W, and W is
+          live in the segment.  When the reading was taken or last
+          served, a main row that tied W would have come first, since
+          main rows lead the scan, so every main row before M0 scores
+          below s.  The pool gives a live
+          ``code-<n>`` the vector it had then, so W still scores s and is
+          the first best of the whole scan: a fresh recall returns it.
+          The hit is rebuilt from W's current row, and its kind from W's
+          current chunk, since a spine cell's chunk changes with its form.
+
+        The int-first test and the floor depend on the vector alone.
+        Without the recorded flag, a symbol named ``code-<n>`` interned
+        after the reading would pass for a main winner.  Anything else,
+        and every miss, goes through ``resolve``; unknown readings are not
+        kept.  A hit otherwise returns the very ``Resolved`` that
+        ``resolve`` returned; its read-only vector is a main memory row,
+        never reallocated, an integer's own code, or the copy of a spine
+        row, which the memo keeps alive after its segment is dropped.
         """
-        rows, form = self.memory.main_rows, self._form
-        out, seen, seen_form = memo.get(key, (None, 0, 0))
-        if out is not None and (
-            out.kind == "int" or (seen == rows and seen_form == form)
-        ):
+        rows, changes = self.memory.main_rows, self.memory.changes
+        out, seen, seen_changes, spine = memo.get(key, (None, 0, -1, False))
+        if out is not None and (out.kind == "int" or seen_changes == changes):
             return out
         v = vector()
-        if out is not None and self.memory.best_since(v, seen) < out.similarity:
-            memo[key] = (out, rows, form)
-            return out
+        if out is not None:
+            name, score = self.memory.best_since(v, seen)
+            if not spine and score < out.similarity:
+                memo[key] = (out, rows, changes, False)
+                return out
+            if spine and name == out.name and self.memory.in_segment(name):
+                out = self._named(name, score)
+                memo[key] = (out, rows, changes, True)
+                return out
         out = self.resolve(v)
         if out.kind != "unknown":
-            memo[key] = (out, rows, form)
-            if self.memory.in_segment(owner) or self.memory.in_segment(out.name):
-                self._spine_readings.append((memo, key))
+            memo[key] = (out, rows, changes, self.memory.in_segment(out.name))
         return out
 
     def _unbind_role(self, r: Resolved, role: str) -> Resolved:
         """``resolve`` of what ``role`` holds in the chunk ``r`` names.
 
-        Memoized per (chunk name, role) by ``_memoized_resolve``: a chunk
-        is written once, so the vector unbound from it never changes.
+        A main chunk is written once, so the vector unbound from it never
+        changes: its parts are memoized per (chunk name, role).  A spine
+        cell's name stands for another chunk in every form, so its parts
+        go through the value memo, keyed by their bytes; with pooled
+        pointers, a sub-form that repeats an earlier one rebuilds them bit
+        for bit, and their readings serve it across forms.
         """
-        return self._memoized_resolve(
-            self._readings,
-            (r.name, role),
-            lambda: unbind(self.memory.chunk(r.name), self._role(role)),
-            r.name,
-        )
+        def unbound() -> np.ndarray:
+            return unbind(self.memory.chunk(r.name), self._role(role))
+
+        if self.memory.in_segment(r.name):
+            return self._resolve_value(unbound())
+        return self._memoized_resolve(self._readings, (r.name, role), unbound)
 
     def _resolve_value(self, v: np.ndarray) -> Resolved:
         """``resolve`` of a runtime value, memoized by its exact bytes.
@@ -473,22 +526,19 @@ class Session:
 
         The form's spine (see ``_encode_code``) lives in the memory's
         segment for the form only: when the form returns or raises, the
-        segment is dropped, and so is every memo reading that names one of
-        its entries.  So memory grows only by what the form's values keep.
+        segment is dropped.  So memory grows only by what the form's
+        values keep.  The form's pointer and its spine's parts are read
+        through the value memo, whose readings outlive the form exactly
+        (see ``_memoized_resolve``), so nothing is dropped from the memos.
         Evaluation recurses on the Python stack, so a program nested or
         recursing too deeply raises ``RecursionDepthError``.
         """
-        self._form += 1
         self._counts[_SPINE] = 0
-        #: (memo, key) of each reading that names a segment entry
-        self._spine_readings: list[tuple[dict, object]] = []
         try:
             with _depth_guard("evaluation"):
-                code = self.resolve(self._encode_code(expr))
+                code = self._resolve_value(self._encode_code(expr))
                 return self.eval_vec(code, self.global_env)
         finally:
-            for memo, key in self._spine_readings:
-                memo.pop(key, None)
             self.memory.drop_segment()
 
     def eval_source(self, source: str) -> Iterator[str]:
@@ -734,7 +784,7 @@ class Session:
         if r.kind == "pointer":
             return f"#<chunk {r.name}>"
         # not a recall: a session always holds its bootstrap entries
-        return f"#<vector sim={self.memory.best_since(r.vector, 0):.3f}>"
+        return f"#<vector sim={self.memory.best_since(r.vector, 0)[1]:.3f}>"
 
     # -- persistence ----------------------------------------------------
 

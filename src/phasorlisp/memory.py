@@ -41,6 +41,21 @@ _U32 = float(np.finfo(np.float32).eps) / 2
 _U64 = float(np.finfo(np.float64).eps) / 2
 
 
+#: Largest magnitude a stored component may have: recall scans rows in
+#: complex64, so a larger one, like NaN or infinity, would poison every score.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def storable(x: np.ndarray) -> bool:
+    """Whether every component of ``x`` is finite and within float32 range,
+    the rule for a vector memory stores or a session file holds; a complex
+    ``x`` is judged by its real and imaginary parts."""
+    if np.iscomplexobj(x):
+        return storable(x.real) and storable(x.imag)
+    # the maximum of an array holding NaN is NaN, which fails the test too
+    return bool(np.abs(x).max() <= _FLOAT32_MAX)
+
+
 def _gamma(k: int, u: float) -> float:
     """Higham's gamma_k: relative error bound of a k-term float sum."""
     return k * u / (1 - k * u)
@@ -65,7 +80,10 @@ class CleanupMemory:
     an entry added with ``segment=True`` joins the segment instead, which
     ``drop_segment`` forgets whole, chunks included.  Recall scans both,
     and on equal scores a main entry wins over a segment entry.
-    Recalls are counted so benchmarks can report memory traffic.
+    Recalls are counted so benchmarks can report memory traffic, and adds
+    and segment drops so a caller can tell nothing has changed since it
+    last looked.  A vector whose components are not all finite and within
+    float32 range is refused (see ``storable``).
 
     One index maps each live name to its scan row, and the row's name,
     kind and complex128 vector sit at that position in three lists.  A
@@ -131,6 +149,9 @@ class CleanupMemory:
         #: number of main entries, which never falls; scan rows from here
         #: on are the segment's
         self.main_rows = 0
+        #: entries added and segments dropped so far: while it holds, every
+        #: recall answers as before
+        self.changes = 0
         #: name -> scan row of every live entry, in the order they came
         self._index: dict[str, int] = {}
         #: name, kind and read-only complex128 vector of each scan row
@@ -189,10 +210,22 @@ class CleanupMemory:
     def add(
         self, name: str, v: np.ndarray, kind: str = "symbol", segment: bool = False
     ) -> None:
-        """Store ``v`` under ``name``; a duplicate name raises ValueError."""
+        """Store ``v`` under ``name``; a duplicate name raises ValueError.
+
+        A vector of the wrong length, or with a component that is not
+        finite or lies beyond float32 range (see ``storable``), raises
+        ``DimensionError``; nothing is written then.
+        """
         if v.shape[0] != self.dim:
             raise DimensionError(
                 f"vector dimension {v.shape[0]} != memory dimension {self.dim}"
+            )
+        norm = math.sqrt(np.vdot(v, v).real)
+        # No component exceeds the 2-norm, whose rounding error is far below
+        # a factor of two, so only a rare vector is checked one by one.
+        if not (norm <= _FLOAT32_MAX / 2 or storable(v)):
+            raise DimensionError(
+                f"vector for {name!r} has a non-finite or huge component"
             )
         if name in self._index:
             raise ValueError(f"entry {name!r} already stored")
@@ -229,8 +262,9 @@ class CleanupMemory:
         scan_row[:] = v
         np.conjugate(scan_row, out=scan_row)
         tail = v[self._half:]
-        self._max_norm = max(self._max_norm, math.sqrt(np.vdot(v, v).real))
+        self._max_norm = max(self._max_norm, norm)
         self._max_tail = max(self._max_tail, math.sqrt(np.vdot(tail, tail).real))
+        self.changes += 1
 
     def add_chunk(
         self,
@@ -265,6 +299,7 @@ class CleanupMemory:
             del self._index[name]
             self._chunks.pop(name, None)
         del self._names[main:], self._kinds[main:], self._rows[main:]
+        self.changes += 1
 
     def _rescore(
         self, v: np.ndarray, start: int, scores: np.ndarray, norm: float,
@@ -345,14 +380,16 @@ class CleanupMemory:
             name=name, vector=self._rows[i], similarity=score, kind=self._kinds[i]
         )
 
-    def best_since(self, v: np.ndarray, row: int) -> float:
-        """Highest similarity of ``v`` to the main entries from ``row`` on
-        and to every segment entry.
+    def best_since(self, v: np.ndarray, row: int) -> tuple[str | None, float]:
+        """Name and similarity of the first best match for ``v`` among the
+        main entries from ``row`` on and every segment entry, in scan order.
 
         Not a recall: nothing is counted and no floor applies.  With no
-        such entry it is ``-inf``.
+        such entry it is ``(None, -inf)``.  The score is the one ``recall``
+        would give that entry.
         """
-        return self._best(v, row)[1]
+        i, score = self._best(v, row)
+        return (self._names[i] if i >= 0 else None), score
 
     def stats(self) -> dict[str, int]:
         return {

@@ -34,6 +34,7 @@ from .errors import (
     SessionIOError,
 )
 from .fhrr import FLOOR, bind, phase_angles, random_symbol, similarities, similarity
+from .memory import storable
 from .resonator import (
     ColumnClasses,
     FactorBooks,
@@ -413,16 +414,10 @@ def read_exact(src: IO[bytes], n: int) -> bytes:
     return b"".join(parts)
 
 
-#: Largest magnitude a stored component may have: recall scans rows in
-#: complex64, so a larger one, like NaN or infinity, would poison every score.
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
-
-
 def _read_floats(src: IO[bytes], n: int) -> np.ndarray:
     """``n`` little-endian float64s, each finite within float32 range."""
     raw = np.frombuffer(read_exact(src, 8 * n), dtype="<f8")
-    # the maximum of an array holding NaN is NaN, which fails the test too
-    if not np.abs(raw).max() <= _FLOAT32_MAX:
+    if not storable(raw):
         raise SessionIOError("session file holds a non-finite or huge component")
     return raw
 

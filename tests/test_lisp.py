@@ -243,11 +243,40 @@ def test_a_repeated_product_does_not_factorize_its_operand_again(
     assert not factorized
     assert run(session, "(* 3 4)") == "12"
     factorized.clear()
-    # Encoding the form again rebuilds the chunk (4) bit for bit, so its
-    # head and *'s operand are memo hits; only the head of (3 4), whose
-    # unbinding carries crosstalk from the fresh pointer to (4), is new.
+    # Encoding the form again takes the same pooled spine pointers, so it
+    # rebuilds every chunk of the form bit for bit: each part, the head of
+    # (3 4) included, is a memo hit and no operand is decoded again.
     assert run(session, "(* 3 4)") == "12"
-    assert len(factorized) == 1
+    assert not factorized
+
+
+def test_each_spine_cell_takes_one_pooled_pointer(session):
+    assert run(session, "(car (quote (a)))") == "a"
+    pool = dict(session._pool)
+    assert sorted(pool) == ["code-0", "code-1", "code-2", "code-3"]
+    assert not any(p.flags.writeable for p in pool.values())
+    assert run(session, "(cdr (quote (a b)))") == "(b)"
+    assert all(session._pool[name] is p for name, p in pool.items())
+
+
+def test_a_spine_reading_is_served_only_while_its_cell_wins():
+    session = Session()
+    # the form's own pointer, read as its outermost cell, code-3
+    assert run(session, "(car (quote (a)))") == "a"
+    pointer = session._pool["code-3"]
+    # the cell went with its form, and so does the reading
+    assert session._resolve_value(pointer).kind == "unknown"
+    # a program may intern the cell's name between forms: a main entry
+    # of that name is not the cell
+    session.symbol("code-3")
+    assert session._resolve_value(pointer).kind == "unknown"
+
+    session = Session()
+    assert run(session, "(car (quote (a)))") == "a"
+    # a main entry added since that ties the cell wins, as in a recall
+    session.memory.add("twin", session._pool["code-3"].copy())
+    with pytest.raises(UnboundSymbolError):
+        run(session, "(car (quote (b)))")
 
 
 def test_the_column_classes_wait_for_the_first_integer():

@@ -3,6 +3,7 @@ import pytest
 
 from phasorlisp import (
     CleanupMemory,
+    DimensionError,
     Environment,
     MemoryEmptyError,
     NoMatchError,
@@ -78,6 +79,24 @@ def test_duplicate_name_rejected_without_replace(mem, rng):
     assert len(mem) == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, 1e39j, np.nan * 1j])
+@pytest.mark.parametrize("segment", [False, True])
+def test_a_vector_with_a_bad_component_is_rejected_whole(mem, rng, bad, segment):
+    a = random_symbol(rng, D)
+    mem.add("a", a)
+    v = random_symbol(rng, D)
+    v[7] = bad
+    with pytest.raises(DimensionError):
+        mem.add("b", v, segment=segment)
+    assert (len(mem), mem.main_rows, mem.changes) == (1, 1, 1)
+    assert "b" not in mem
+    assert mem.recall(a).name == "a"
+    # the rule is a session file's: each component finite and within
+    # float32 range, whatever the vector's norm
+    mem.add("edge", np.full(D, 3e38 + 0j), segment=segment)
+    assert len(mem) == 2
+
+
 def test_vector_and_kind_lookup(mem, rng):
     v = random_symbol(rng, D)
     mem.add("x", v, kind="env")
@@ -117,8 +136,8 @@ def test_best_since_scores_only_later_entries(mem, rng):
     mem.add("early", early)
     mem.add("late", late)
     before = mem.recalls
-    assert mem.best_since(early, 1) == pytest.approx(similarity(late, early))
-    assert mem.best_since(late, 1) == pytest.approx(1.0)
+    assert mem.best_since(early, 1) == ("late", similarity(late, early))
+    assert mem.best_since(late, 1) == ("late", pytest.approx(1.0))
     assert mem.recalls == before
 
 
@@ -190,7 +209,7 @@ def test_a_near_tie_inside_the_bound_goes_to_the_float64_winner(mem, rng):
     hit = mem.recall(query)
     assert hit.name == "a"
     assert hit.similarity == similarity(a, query)
-    assert mem.best_since(query, 0) == similarity(a, query)
+    assert mem.best_since(query, 0) == ("a", similarity(a, query))
 
 
 def test_a_row_complex64_ranks_first_loses_to_the_float64_winner():
@@ -220,7 +239,7 @@ def test_the_first_of_two_identical_rows_wins(mem, rng):
     mem.add("first", v)
     mem.add("second", v.copy())
     assert mem.recall(v).name == "first"
-    assert mem.best_since(v, 1) == similarity(v, v)
+    assert mem.best_since(v, 1) == ("second", similarity(v, v))
 
 
 def _stored_rows(gen, dim, count):
@@ -278,7 +297,10 @@ def test_recall_and_best_since_follow_the_float64_kernel(seed):
             assert hit.name == f"r{order[int(np.argmax(sims))]}"
             assert hit.similarity == max(sims)
             for start in (0, main // 2, main):
-                assert mem.best_since(query, start) == max(sims[start:])
+                first = start + int(np.argmax(sims[start:]))
+                assert mem.best_since(query, start) == (
+                    f"r{order[first]}", max(sims[start:])
+                )
 
 
 def test_a_row_leading_on_the_first_half_loses_to_the_whole_row_winner():
@@ -366,7 +388,7 @@ def test_segment_entries_are_recalled_counted_and_dropped(mem, rng):
     assert mem.kind("s") == mem.recall(b).kind == "pointer"
     assert mem.kind("c") == mem.recall(c).kind == "symbol"
     assert mem.names(kind="pointer") == ["s"]
-    assert mem.best_since(b, 2) == pytest.approx(1.0)
+    assert mem.best_since(b, 2) == ("s", pytest.approx(1.0))
     mem.drop_segment()
     assert (len(mem), mem.main_rows) == (2, 2)
     assert "s" not in mem and mem.names() == ["a", "c"]
@@ -376,7 +398,7 @@ def test_segment_entries_are_recalled_counted_and_dropped(mem, rng):
     with pytest.raises(NoMatchError):
         mem.recall(b)
     # nothing past the main rows is scanned once the segment is gone
-    assert mem.best_since(b, 2) == -np.inf
+    assert mem.best_since(b, 2) == (None, -np.inf)
     mem.add("s", b)  # the name is free again
     assert mem.recall(b).name == "s"
     assert mem.kind("s") == mem.recall(b).kind == "symbol"
@@ -413,7 +435,7 @@ def test_segment_rows_survive_many_main_appends(rng):
         for i, v in enumerate(rows):
             assert mem.recall(v).name == f"{prefix}{i}"
             assert np.array_equal(mem.vector(f"{prefix}{i}"), v)
-    assert mem.best_since(seg[3], 150) == similarity(seg[3], seg[3])
+    assert mem.best_since(seg[3], 150) == ("s3", similarity(seg[3], seg[3]))
     mem.drop_segment()
     assert len(mem) == mem.main_rows == 150
     assert mem.recall(main[149]).name == "m149"

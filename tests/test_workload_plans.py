@@ -26,6 +26,7 @@ from phasorlisp import (  # noqa: E402
     PhasorError,
     RecallResult,
     Session,
+    random_symbol,
     unbind,
 )
 from phasorlisp.fhrr import similarities  # noqa: E402
@@ -105,8 +106,11 @@ class Float64Memory(CleanupMemory):
         )
 
     def best_since(self, v, row):
-        sims = self._sims(v, row)[1]
-        return float(sims.max()) if len(sims) else -math.inf
+        names, sims = self._sims(v, row)
+        if not len(sims):
+            return None, -math.inf
+        best = int(np.argmax(sims))
+        return names[best], float(sims[best])
 
 
 class Float64Recall(Session):
@@ -123,6 +127,27 @@ class SpineKept(Session):
 
     def _encode_code(self, expr):
         return self.encode(expr)
+
+
+class FreshSpine(Session):
+    """Draws every spine pointer afresh from the session's generator, as
+    sessions did before spine pointers were pooled."""
+
+    def _spine_pointer(self, name):
+        return random_symbol(self.rng, self.config.dim)
+
+
+class Verified(Session):
+    """Checks every answer of the memos against a fresh ``resolve``."""
+
+    def _memoized_resolve(self, memo, key, vector):
+        out = super()._memoized_resolve(memo, key, vector)
+        fresh = self.resolve(vector())
+        assert (out.kind, out.name, out.value, out.similarity) == (
+            fresh.kind, fresh.name, fresh.value, fresh.similarity
+        )
+        assert out.vector.tobytes() == fresh.vector.tobytes()
+        return out
 
 
 ACCEPTANCE = (
@@ -169,30 +194,29 @@ def _run(cls, sources, check, after_form=None, config=None):
 
 
 def _leftovers(session):
-    """What a finished form left behind: live segment rows, a scan past the
-    main rows that finds any row, and names the memos hold that memory
-    does not."""
+    """What a finished form left behind: live segment rows, and a scan
+    past the main rows that finds any row."""
     memory = session.memory
-    named = [
-        n for (owner, _), (r, *_) in session._readings.items()
-        for n in (owner, r.name)
-    ]
-    named += [r.name for r, *_ in session._values.values()]
     probe = memory.vector("t")
     return (
         len(memory) - memory.main_rows,
-        memory.best_since(probe, memory.main_rows) != -math.inf,
-        sorted({n for n in named if n is not None and n not in memory}),
+        memory.best_since(probe, memory.main_rows)[1] != -math.inf,
     )
 
 
 @functools.cache
 def _reference(sources, check):
     """``_run(Session, ...)`` once per case, shared by the differential
-    tests, with ``_leftovers`` after each form."""
-    leftovers = []
-    run = _run(Session, sources, check, lambda s: leftovers.append(_leftovers(s)))
-    return run, leftovers
+    tests, with ``_leftovers`` after each form and the session's recalls
+    after the last."""
+    leftovers, recalls = [], []
+
+    def after_form(session):
+        leftovers.append(_leftovers(session))
+        recalls.append(session.memory.recalls)
+
+    run = _run(Session, sources, check, after_form)
+    return run, leftovers, recalls[-1]
 
 
 def _plan_sources(workload):
@@ -240,7 +264,53 @@ def test_retiring_the_spine_leaves_transcripts_unchanged(sources, check):
 def test_no_segment_row_or_stale_reading_outlives_its_form(sources, check):
     leftovers = _reference(sources, check)[1]
     assert len(leftovers) == len(sources)
-    assert [(i, x) for i, x in enumerate(leftovers) if x != (0, False, [])] == []
+    assert [(i, x) for i, x in enumerate(leftovers) if x != (0, False)] == []
+
+
+@pytest.mark.parametrize("dim", [1000, 384, 256])
+@pytest.mark.parametrize("sources, check", _CASES)
+def test_every_memo_answer_equals_a_fresh_resolve(sources, check, dim):
+    # Verified asserts it on every answer, hits across forms included; the
+    # memos, spine readings among them, change no output either.
+    if dim == 1000:
+        expected = _reference(sources, check)[0]
+    else:
+        expected = _run(Session, sources, check, config=Config(dim=dim))
+    assert _run(Verified, sources, check, config=Config(dim=dim)) == expected
+
+
+def test_a_spine_hit_reads_its_cell_from_the_current_chunk():
+    # At theta 0.99 a spine chunk's tag clears theta about half the time,
+    # so its cell reads as cons in one form and as a bare pointer in the
+    # next, under the same pooled pointer.
+    sources = [f"({op} (quote (s{i})))" for i in range(12) for op in ("car", "cdr")]
+    for seed in range(3):
+        _transcript(Verified(Config(theta=0.99, seed=seed)), sources)
+
+
+@pytest.mark.parametrize("sources, check", _CASES)
+def test_pooled_spine_pointers_leave_sessions_unchanged(sources, check):
+    # The pool advances the generator past each draw it skips, so every
+    # vector that outlives a form, and so every saved byte, is as before.
+    assert _reference(sources, check)[0] == _run(FreshSpine, sources, check)
+
+
+@pytest.mark.parametrize("dim", [16, 64, 128, 256, 1000])
+@pytest.mark.parametrize("source", ["(+ 1 2)", "((lambda (x) (* x x)) 6)"])
+def test_a_one_form_script_is_unchanged_by_the_pool_at_any_dim(source, dim):
+    # The first form draws every pointer it pools, so it runs as before
+    # even where crosstalk misreads it.
+    for moduli in ((3, 5, 7), (31, 37, 41)):
+        config = Config(dim=dim, moduli=moduli)
+        assert _run(Session, [source], source, config=config) == _run(
+            FreshSpine, [source], source, config=config
+        )
+
+
+def test_repeated_spines_keep_repl_recalls_down():
+    # 3,142 recalls before spine readings outlived their form
+    sources, check = _plan_sources("repl")
+    assert _reference(sources, check)[2] <= 2100
 
 
 def test_repl_seed_2010_reads_the_right_integer():
