@@ -25,7 +25,7 @@ class InvalidModuliError(PhasorError):
 
 
 class DecodeError(PhasorError):
-    """No integer code matches the vector above the confidence floor."""
+    """No integer reading of the vector passes the re-encode check."""
 
     kind = "decode"
 

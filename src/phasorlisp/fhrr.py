@@ -107,8 +107,8 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Confidence floor of cleanup recall and integer decoding: random phasors
-#: score O(1/sqrt(dim)), about 0.03 at dim 1000, far below 0.1.
+#: Confidence floor of cleanup recall, not of integer decoding: random
+#: phasors score O(1/sqrt(dim)), about 0.03 at dim 1000, far below 0.1.
 FLOOR = 0.1
 
 

@@ -45,10 +45,10 @@ from .residue import (
     ResidueCodebook,
     add_bind,
     decode_residue,
+    div_bind,
     encode_residue,
     load_codebook,
     make_codebook,
-    mod_inverse,
     mul_bind,
     nearest_code,
     read_exact,
@@ -86,8 +86,8 @@ _TAG_NAMES = ("#cons", "#lambda")
 #: each ``code-<n>`` takes the same pooled pointer in every form
 _SPINE = "code"
 
-#: Most runtime values one session keeps resolved; the oldest goes first.
-#: A key is a whole vector's bytes (16 KB at dim 1000).
+#: Most runtime values one session keeps resolved; the least recently used
+#: goes first.  A key is a whole vector's bytes (16 KB at dim 1000).
 VALUE_MEMO_SIZE = 64
 
 
@@ -374,9 +374,10 @@ class Session:
 
         Integer-tagged vectors are decoded and re-encoded, so one cleanup
         pass removes all accumulated unbinding noise.  A tagged vector
-        that fails to decode falls through to symbol recall, and raises
-        the ``DecodeError`` if recall finds only the bare type tag; a
-        vector matching nothing is returned as kind ``unknown``.
+        that fails the decode check, as a symbol or cell whose crosstalk
+        with the tag clears ``theta`` does, falls through to recall, and
+        raises the ``DecodeError`` if recall finds only the bare type tag;
+        a vector matching nothing is returned as kind ``unknown``.
         """
         failed = None
         if similarity(v, self.int_tag) > self.config.theta:
@@ -443,7 +444,7 @@ class Session:
           The hit is rebuilt from W's current row, and its kind from W's
           current chunk, since a spine cell's chunk changes with its form.
 
-        The int-first test and the floor depend on the vector alone.
+        The int-first test and the decode check depend on the vector alone.
         Without the recorded flag, a symbol named ``code-<n>`` interned
         after the reading would pass for a main winner.  Anything else,
         and every miss, goes through ``resolve``; unknown readings are not
@@ -495,11 +496,14 @@ class Session:
         applies, the list ``car`` and ``cdr`` walk, the operands of
         ``eq?``.  The key is the vector's whole byte string, with no
         digest, so only a bit-identical vector hits, and
-        ``_memoized_resolve`` keeps the hit exact.  At most
-        ``VALUE_MEMO_SIZE`` values are kept; the oldest goes first.
+        ``_memoized_resolve`` keeps the hit exact.  The least recently
+        used of more than ``VALUE_MEMO_SIZE`` values goes first.
         """
         memo = self._values
-        out = self._memoized_resolve(memo, v.tobytes(), lambda: v)
+        key = v.tobytes()
+        if key in memo:
+            memo[key] = memo.pop(key)
+        out = self._memoized_resolve(memo, key, lambda: v)
         if len(memo) > VALUE_MEMO_SIZE:
             del memo[next(iter(memo))]
         return out
@@ -705,7 +709,7 @@ class Session:
     def force_decode(self, v: np.ndarray) -> tuple[int, float]:
         """Best integer reading of a vector and its confidence.
 
-        Ignores the type tag test and the confidence floor; meant for
+        Ignores the type tag test and the decode check; meant for
         inspecting values that print as something other than an integer.
         """
         return nearest_code(self.codebook, v - self.int_tag)
@@ -745,10 +749,7 @@ class Session:
     def prim_div(self, u, v) -> np.ndarray:
         a = self._require_int(u, "/")
         b = self._require_int(v, "/")
-        method = self.config.decode
-        inv = mod_inverse(self.codebook, b, method=method)
-        quotient = mul_bind(self.codebook, a, inv, method=method)
-        return quotient + self.int_tag
+        return div_bind(self.codebook, a, b, method=self.config.decode) + self.int_tag
 
     # -- printing -------------------------------------------------------
 

@@ -33,7 +33,7 @@ from .errors import (
     NoInverseError,
     SessionIOError,
 )
-from .fhrr import FLOOR, bind, phase_angles, random_symbol, similarities, similarity
+from .fhrr import bind, phase_angles, random_symbol, similarities, similarity
 from .memory import storable
 from .resonator import (
     ColumnClasses,
@@ -51,6 +51,7 @@ __all__ = [
     "add_bind",
     "negate",
     "mul_bind",
+    "div_bind",
     "mod_inverse",
     "decode_residue",
     "nearest_code",
@@ -137,7 +138,7 @@ class ResidueCodebook:
     _factor_books: FactorBooks | None = field(
         init=False, repr=False, default=None
     )
-    #: (method, floor, dtype, exact bytes) -> integer; see decode_residue
+    #: (method, dtype, exact bytes) -> integer; see decode_residue
     _decoded: dict[tuple, int] = field(
         init=False, repr=False, default_factory=dict
     )
@@ -234,10 +235,9 @@ def negate(v: np.ndarray) -> np.ndarray:
 
 RESONATOR_RESTARTS = 10
 
-#: Re-encode check at which a resonator reading is accepted without
-#: restarting.  A true code scores about 1 under chunk crosstalk or added
-#: noise and a wrong one about 0, so the midpoint separates them; a wrong
-#: fixed point can still clear the much lower ``floor``.
+#: Re-encode check an integer reading must reach, under either method.  A
+#: true code scores about 1 under chunk crosstalk or added noise and a
+#: wrong one about 0, so the midpoint separates them.
 RESONATOR_ACCEPT = 0.5
 
 
@@ -249,27 +249,23 @@ def nearest_code(cb: ResidueCodebook, v: np.ndarray) -> tuple[int, float]:
 
 
 def decode_residue(
-    cb: ResidueCodebook,
-    v: np.ndarray,
-    method: str = "exhaustive",
-    floor: float = FLOOR,
+    cb: ResidueCodebook, v: np.ndarray, method: str = "exhaustive"
 ) -> int:
-    """Recover the integer whose code best matches ``v``.
+    """Recover the integer whose code matches ``v``.
 
     ``exhaustive`` scans every code in [0, range) and takes the argmax of
     the similarity kernel.  ``resonator`` factorizes ``v`` against the
-    per-modulus codebooks and reassembles the residues via the CRT; the
-    reassembled integer is verified by re-encoding it.  A check below
-    ``RESONATOR_ACCEPT`` (or ``floor``, if higher) retries the
-    factorization from up to ``RESONATOR_RESTARTS`` reproducible random
-    starting mixtures, and the best-checking reading wins.  Either way, a
-    best match below ``floor`` raises ``DecodeError`` rather than
-    returning an arbitrary integer.
+    per-modulus codebooks and reassembles the residues via the CRT,
+    retrying from up to ``RESONATOR_RESTARTS`` reproducible random
+    starting mixtures.  Either way a reading is accepted only when the
+    similarity of its code to ``v`` (for ``exhaustive``, the best match
+    itself) reaches ``RESONATOR_ACCEPT``; otherwise ``DecodeError`` is
+    raised rather than an arbitrary integer returned.
 
-    A reading is a pure function of the codebook, ``method``, ``floor``
-    and the exact bytes of ``v`` (restarts draw from fixed seeds, never
-    from a caller's generator), so the codebook keeps the last
-    ``DECODE_MEMO_SIZE`` successful readings under that key and answers a
+    A reading is a pure function of the codebook, ``method`` and the exact
+    bytes of ``v`` (restarts draw from fixed seeds, never from a caller's
+    generator), so the codebook keeps the last ``DECODE_MEMO_SIZE``
+    successful readings under the key (method, dtype, bytes) and answers a
     bit-identical repeat without decoding again.  A failure is not kept:
     it raises afresh each time.
     """
@@ -278,79 +274,80 @@ def decode_residue(
             f"vector dimension {v.shape[0]} != codebook dimension {cb.dim}"
         )
     memo = cb._decoded
-    key = (method, floor, v.dtype.str, v.tobytes())
+    key = (method, v.dtype.str, v.tobytes())
     x = memo.get(key)
     if x is None:
-        x = memo[key] = _decode(cb, v, method, floor)
+        x = memo[key] = _decode(cb, v, method)
         if len(memo) > DECODE_MEMO_SIZE:
             del memo[next(iter(memo))]
     return x
 
 
-def _decode(cb: ResidueCodebook, v: np.ndarray, method: str, floor: float) -> int:
+def _decode(cb: ResidueCodebook, v: np.ndarray, method: str) -> int:
     """``decode_residue`` without its memo."""
     if method == "exhaustive":
-        x, best = nearest_code(cb, v)
-        if best < floor:
-            raise DecodeError(
-                f"best integer match {best:.3f} is below the {floor} floor"
-            )
-        return x
-    if method == "resonator":
+        x, check = nearest_code(cb, v)
+        if check >= RESONATOR_ACCEPT:
+            return x
+    elif method == "resonator":
         books = cb.factor_codebooks()
-        accept = max(floor, RESONATOR_ACCEPT)
-        best, best_check = -1, -np.inf
         for attempt in range(RESONATOR_RESTARTS + 1):
             state = factorize(v, books, seed=None if attempt == 0 else attempt)
             x = crt_reconstruct(list(state.indices), cb.moduli)
             check = similarity(encode_residue(cb, x), v)
-            if check >= accept:
+            if check >= RESONATOR_ACCEPT:
                 return x
-            if check > best_check:
-                best, best_check = x, check
-        if best_check >= floor:
-            return best
-        raise DecodeError(
-            f"reconstructed {best} matches at {best_check:.3f}, below the "
-            f"{floor} floor"
-        )
-    raise ValueError(f"unknown decode method {method!r}")
+    else:
+        raise ValueError(f"unknown decode method {method!r}")
+    raise DecodeError(f"reading {x} checks at {check:.3f}, below {RESONATOR_ACCEPT}")
+
+
+def _power(u: np.ndarray, x: int) -> np.ndarray:
+    """``u`` raised elementwise to the integer ``x``: code(a) -> code(a*x)."""
+    return np.exp(1j * (phase_angles(u) * x))
+
+
+def _inverse(cb: ResidueCodebook, v: np.ndarray, method: str) -> int:
+    """The inverse modulo the range of the integer ``v`` decodes to."""
+    x, r = decode_residue(cb, v, method=method), cb.moduli.range
+    g = math.gcd(x, r)
+    if g != 1:
+        raise NoInverseError(f"{x} has no inverse modulo {r}: shared factor {g}")
+    return pow(x, -1, r)
 
 
 def mul_bind(
-    cb: ResidueCodebook,
-    u: np.ndarray,
-    v: np.ndarray,
-    method: str = "exhaustive",
+    cb: ResidueCodebook, u: np.ndarray, v: np.ndarray, method: str = "exhaustive"
 ) -> np.ndarray:
     """code(a) * code(b) -> code(a*b mod range), by decode-then-exponentiate.
 
-    ``v`` is decoded to its integer value with ``method``, at
-    ``decode_residue``'s default floor, and ``u`` is raised elementwise to
-    that power.  An undecodable ``v`` propagates ``DecodeError``.
+    ``v`` is decoded to its integer value with ``method``, under
+    ``decode_residue``'s check, and ``u`` is raised elementwise to that
+    power.  An undecodable ``v`` propagates ``DecodeError``.
     """
-    x2 = decode_residue(cb, v, method=method)
-    return np.exp(1j * (phase_angles(u) * x2))
+    return _power(u, decode_residue(cb, v, method=method))
+
+
+def div_bind(
+    cb: ResidueCodebook, u: np.ndarray, v: np.ndarray, method: str = "exhaustive"
+) -> np.ndarray:
+    """code(a) / code(b) -> code(a * b^-1 mod range), for b co-prime with it.
+
+    ``v`` is decoded as by ``mul_bind``, and ``u`` is raised to the inverse
+    of that integer, which is never encoded and decoded again.
+    """
+    return _power(u, _inverse(cb, v, method))
 
 
 def mod_inverse(
-    cb: ResidueCodebook,
-    v: np.ndarray,
-    method: str = "exhaustive",
+    cb: ResidueCodebook, v: np.ndarray, method: str = "exhaustive"
 ) -> np.ndarray:
     """Code of the multiplicative inverse of the integer encoded by ``v``.
 
-    ``v`` is decoded as by ``mul_bind``, at ``decode_residue``'s default
-    floor.  Defined only when the decoded value is co-prime with the range.
+    ``v`` is decoded as by ``mul_bind``, under ``decode_residue``'s check.
+    Defined only when the decoded value is co-prime with the range.
     """
-    x2 = decode_residue(cb, v, method=method)
-    r = cb.moduli.range
-    g = math.gcd(x2, r)
-    if g != 1:
-        raise NoInverseError(
-            f"{x2} has no inverse modulo {r}: shared factor {g}"
-        )
-    return encode_residue(cb, pow(x2, -1, r))
+    return encode_residue(cb, _inverse(cb, v, method))
 
 
 def crt_reconstruct(residues: Sequence[int], moduli: ModuliSet) -> int:

@@ -315,7 +315,8 @@ def test_repeated_spines_keep_repl_recalls_down():
 
 def test_repl_seed_2010_reads_the_right_integer():
     # The resonator's default start settles on 98 here, whose re-encode
-    # check (0.119) clears the 0.1 floor; a restart finds 102 at 1.05.
+    # check (0.119) is below 0.5, so decoding restarts; a restart finds
+    # 102 at 1.05.
     plan = WORKLOADS["repl"].plan(2010, 0)
     session = Session()
     for form in plan.forms[:52]:
@@ -323,3 +324,27 @@ def test_repl_seed_2010_reads_the_right_integer():
     form = plan.forms[52]
     assert form.source == "(cdr d23)"
     assert list(session.eval_source(form.source)) == ["(-3 s6)"]
+
+
+@pytest.mark.parametrize(
+    "workload, seed, index, form, source",
+    [
+        ("repl", 2, 0, 76, "(cdr d33)"),
+        ("repl", 1, 2, 20, "(cdr d7)"),
+        ("programs", 2, 0, 15, "(sum (quote (-36 -51 -12 6)))"),
+    ],
+)
+def test_small_dim_plans_read_no_cell_as_an_integer(
+    workload, seed, index, form, source
+):
+    # At dim 384 a cell's tail, or a symbol, can clear theta against the
+    # integer tag by crosstalk.  Its best integer reading fails the 0.5
+    # re-encode check, so it is recalled instead.  Read as that integer,
+    # (cdr d33) prints (34 . -37) for (34 s15), (cdr d7) prints -14 for
+    # (46 s4), and the sum raises ERROR:type for 12.
+    plan = WORKLOADS[workload].plan(seed, index)
+    assert plan.forms[form].source == source
+    session = Session(Config(dim=384, seed=seed))
+    assert _transcript(session, [f.source for f in plan.forms]) == [
+        f.expected for f in plan.forms
+    ]
