@@ -82,8 +82,8 @@ _ROLE_NAMES = ("#head", "#tail", "#params", "#body", "#env")
 _TAG_NAMES = ("#cons", "#lambda")
 
 #: name prefix of the cells of a top-level form's spine, numbered afresh
-#: each form; they live in the memory's segment until the form ends, and
-#: each ``code-<n>`` takes the same pooled pointer in every form
+#: each form; ``code-<n>`` is stored once, by the first form that needs it,
+#: and every form after takes the same entry with a chunk of its own
 _SPINE = "code"
 
 #: Most runtime values one session keeps resolved; the least recently used
@@ -131,12 +131,13 @@ class Resolved:
     ``similarity`` is the recall score of the winning memory entry, or
     ``None`` for an integer or an unknown vector.  The evaluator hands
     code from step to step as ``Resolved``.  ``Session._unbind_role``
-    resolves each part of a main chunk once per session, and
+    resolves each part of a written-once chunk once per session, and
     ``Session._resolve_value`` each recent runtime value and spine part
     by its bytes.  Both hand out the very ``Resolved`` they stored, so a
     vector the session has already cleaned up is not cleaned up, or
     rebuilt, again; only a reading whose winner is a spine cell is
-    rebuilt, from the cell's current row and chunk, in a later form.
+    rebuilt on every hit, since its kind comes from the cell's chunk in
+    the current form.
     """
 
     kind: str
@@ -197,15 +198,15 @@ class Session:
         #: code- entry may take; a restored session starts from 0 and skips
         #: what it holds, and code- restarts from 0 each form
         self._counts = {"cell": 0, "closure": 0, "env": 0, _SPINE: 0}
-        #: spine cell name -> its read-only pointer; see _spine_pointer
-        self._pool: dict[str, np.ndarray] = {}
-        #: (main chunk name, role) -> (reading, main rows then, memory
-        #: changes then, whether the winner was a segment entry); see
-        #: _unbind_role
-        self._readings: dict[tuple[str, str], tuple[Resolved, int, int, bool]] = {}
-        #: exact value bytes -> (reading, main rows then, memory changes
-        #: then, whether the winner was a segment entry); see _resolve_value
-        self._values: dict[bytes, tuple[Resolved, int, int, bool]] = {}
+        #: spine cell name -> the chunk it names in the latest form that
+        #: stored one; the cell's pointer is its memory row (_spine_pointer)
+        self._spine: dict[str, np.ndarray] = {}
+        #: (written-once chunk name, role) -> (reading, memory rows then);
+        #: see _unbind_role
+        self._readings: dict[tuple[str, str], tuple[Resolved, int]] = {}
+        #: exact value bytes -> (reading, memory rows then); see
+        #: _resolve_value
+        self._values: dict[bytes, tuple[Resolved, int]] = {}
 
     def _bootstrap(self) -> None:
         self.memory.add(_INT_NAME, self.codebook.tag)
@@ -221,12 +222,15 @@ class Session:
         self.memory.add(name, random_symbol(self.rng, self.config.dim), kind=kind)
 
     def _next_name(self, prefix: str) -> str:
-        """Lowest free ``<prefix>-<n>``, past any stored entry of that name."""
+        """Lowest free ``<prefix>-<n>``, past any stored entry of that name
+        but a spine cell, which every form takes again."""
         n = self._counts[prefix]
-        while f"{prefix}-{n}" in self.memory:
+        name = f"{prefix}-{n}"
+        while name in self.memory and name not in self._spine:
             n += 1
+            name = f"{prefix}-{n}"
         self._counts[prefix] = n + 1
-        return f"{prefix}-{n}"
+        return name
 
     def _register_env(self, env: Environment) -> str:
         name = self._next_name("env")
@@ -250,9 +254,10 @@ class Session:
         """Interned vector for ``name``, minting a fresh one if unknown.
 
         The name of a pointer, scope handle or role is reserved: a program
-        that names one would forge a reference to it.  That includes the
-        ``code-<n>`` cells of the form being evaluated.  So is ``int``, the
-        entry that stores the integer type tag.
+        that names one would forge a reference to it.  That includes a
+        spine cell ``code-<n>`` once a form has stored it, as it does a
+        ``cell-<n>``.  So is ``int``, the entry that stores the integer
+        type tag.
         """
         if name == _INT_NAME:
             raise EvalError(f"{name!r} names the integer type tag, not a symbol")
@@ -288,42 +293,44 @@ class Session:
         """Store a chunk and return its fresh pointer symbol.
 
         The chunk is ``tag`` plus one role (x) filler binding per part,
-        summed left to right; the pointer entry is named ``<prefix>-<n>``,
-        and a spine cell's goes to the memory's segment.
+        summed left to right; the pointer entry is named ``<prefix>-<n>``.
+        A spine cell's chunk stays with the session, in ``_spine``, and
+        replaces the one the cell named in an earlier form.
         """
         composite = self._role(tag)
         for role, filler in parts:
             # ``+``, not ``+=``: the first operand is the tag's read-only row
             composite = composite + bind(self._role(role), filler)
         name = self._next_name(prefix)
-        spine = prefix == _SPINE
-        if spine:
+        if prefix == _SPINE:
             pointer = self._spine_pointer(name)
+            self._spine[name] = composite
         else:
             pointer = random_symbol(self.rng, self.config.dim)
-        self.memory.add_chunk(name, pointer, composite, segment=spine)
+            self.memory.add_chunk(name, pointer, composite)
         return pointer
 
     def _spine_pointer(self, name: str) -> np.ndarray:
-        """The read-only pointer of spine cell ``name``, from the pool.
+        """The read-only pointer of spine cell ``name``: its memory row.
 
         The first form that needs ``name`` draws its pointer from the
-        session's generator, as any other pointer is drawn; every later
-        form reuses it and advances the generator past the draw it skips
-        (PCG64 spends one 64-bit output per double, and the session draws
-        only doubles once its codebook is made).  So the generator's
-        stream, and every vector that outlives a form, is what it would
-        be with a fresh draw per cell, and a sub-form that repeats an
-        earlier one at the same cell numbers rebuilds its chunks bit for
-        bit.  A restored session starts with an empty pool.
+        session's generator, as any other pointer is drawn, and stores it
+        for good; every later form reuses the row and advances the
+        generator past the draw it skips (PCG64 spends one 64-bit output
+        per double, and the session draws only doubles once its codebook
+        is made).  So the generator's stream, and every vector a value
+        keeps, is what it would be with a fresh draw per cell, and a
+        sub-form that repeats an earlier one at the same cell numbers
+        rebuilds its chunks bit for bit.  A restored session holds no
+        spine cell.
         """
-        pointer = self._pool.get(name)
-        if pointer is None:
-            pointer = self._pool[name] = random_symbol(self.rng, self.config.dim)
-            pointer.flags.writeable = False
-        else:
+        if name in self._spine:
             self.rng.bit_generator.advance(self.config.dim)
-        return pointer
+        else:
+            self.memory.add(
+                name, random_symbol(self.rng, self.config.dim), kind="pointer"
+            )
+        return self.memory.vector(name)
 
     def encode(self, expr: SExpr) -> np.ndarray:
         """Encode an AST as data: the vector form quote would return."""
@@ -339,20 +346,20 @@ class Session:
         raise EvalError(f"cannot encode {expr!r}")
 
     def _encode_code(self, expr: SExpr) -> np.ndarray:
-        """``encode`` a top-level form, its spine as segment cells.
+        """``encode`` a top-level form, its spine as ``code-<n>`` cells.
 
         The spine is every cons cell outside a ``quote`` argument and
         outside a ``lambda`` parameter list or body.  Those arguments
         outlive the form, as the value ``quote`` returns and as a
-        closure's parts, so ``encode`` stores them in main memory.  Nothing
-        can refer to a spine cell once the form ends: ``define`` returns
-        its symbol and no primitive returns code.  Special forms are known
-        by their head's name alone, so the split is exact.  The generator
-        is drawn in the order ``encode`` draws it, but cell ``code-<n>``
-        takes the session's pooled pointer for n (see ``_spine_pointer``),
-        so a sub-form that repeats an earlier form's at the same cell
-        numbers is rebuilt bit for bit, and so are the readings of its
-        parts.
+        closure's parts, so ``encode`` stores them as ``cell-<n>`` chunks.
+        No value refers to a spine cell once the form ends: ``define``
+        returns its symbol and no primitive returns code.  So the next
+        form numbers its cells from 0 again and takes the same entries
+        with chunks of its own.  Special forms are known by their head's
+        name alone, so the split is exact.  The generator is drawn in the
+        order ``encode`` draws it (see ``_spine_pointer``), so a sub-form
+        that repeats an earlier form's at the same cell numbers is rebuilt
+        bit for bit, and so are the readings of its parts.
         """
         if not isinstance(expr, ListExpr):
             return self.encode(expr)
@@ -398,8 +405,10 @@ class Session:
 
     def _named(self, name: str, score: float) -> Resolved:
         """The reading of memory entry ``name`` as the winner of a recall
-        that scored ``score``; a pointer's kind comes from the chunk it
-        names at the time of the call."""
+        that scored ``score``.  A pointer's kind comes from the chunk it
+        names at the time of the call: the tag, of ``#cons`` and
+        ``#lambda``, more similar to it, if that similarity clears
+        ``theta``."""
         kind = self.memory.kind(name)
         if kind == "symbol":
             if name in ("t", "f"):
@@ -407,12 +416,19 @@ class Session:
             elif name == "nil":
                 kind = "nil"
         elif kind == "pointer":
-            chunk = self.memory.chunk(name)
+            chunk = self._chunk(name)
+            best = self.config.theta
             for tag in _TAG_NAMES:
-                if similarity(chunk, self._role(tag)) > self.config.theta:
-                    kind = tag[1:]
-                    break
+                sim = similarity(chunk, self._role(tag))
+                if sim > best:
+                    kind, best = tag[1:], sim
         return Resolved(kind, name, None, self.memory.vector(name), score)
+
+    def _chunk(self, name: str) -> np.ndarray:
+        """The chunk pointer ``name`` names now; a spine cell's is the one
+        its latest form stored."""
+        chunk = self._spine.get(name)
+        return self.memory.chunk(name) if chunk is None else chunk
 
     def _memoized_resolve(
         self, memo: dict, key: object, vector: Callable[[], np.ndarray]
@@ -423,71 +439,57 @@ class Session:
         it.  A hit returns exactly what a fresh ``resolve`` would.  An
         integer reading is final: it depends only on the vector and on the
         session's codebook and config.  Any other reading, with winner W
-        and score s, is marked with the main memory size M0 and the
-        memory's change count, and with whether W was a segment entry.
-        While the memory has not changed since, the reading is served as
-        it is.  Otherwise the main rows from M0 on and the current segment
-        are scanned once; recall keeps the first of equal best matches
-        under one per-row float64 kernel, main rows first, main memory is
-        append-only, and a dropped segment row cannot win.  The reading is
-        served when:
-
-        - W was a main entry and that scan's best score is below s: no
-          row that could tie or beat W was added since.
-        - W was a segment entry, the scan's first best is W, and W is
-          live in the segment.  When the reading was taken or last
-          served, a main row that tied W would have come first, since
-          main rows lead the scan, so every main row before M0 scores
-          below s.  The pool gives a live
-          ``code-<n>`` the vector it had then, so W still scores s and is
-          the first best of the whole scan: a fresh recall returns it.
-          The hit is rebuilt from W's current row, and its kind from W's
-          current chunk, since a spine cell's chunk changes with its form.
-
-        The int-first test and the decode check depend on the vector alone.
-        Without the recorded flag, a symbol named ``code-<n>`` interned
-        after the reading would pass for a main winner.  Anything else,
-        and every miss, goes through ``resolve``; unknown readings are not
-        kept.  A hit otherwise returns the very ``Resolved`` that
-        ``resolve`` returned; its read-only vector is a main memory row,
-        never reallocated, an integer's own code, or the copy of a spine
-        row, which the memo keeps alive after its segment is dropped.
+        and score s, is marked with the memory's size M0.  Memory is
+        append-only and recall returns the first of equal best matches
+        under one per-row float64 kernel, so W stays the first best while
+        every row added since, from M0 on, scores below s; one scan of
+        those rows tells, and none is needed while nothing was added.
+        Then the reading is served, and marked with the size now.  A
+        reading whose winner is a spine cell is rebuilt by ``_named``, its
+        kind from the chunk the cell names in the current form; W's row
+        and score are those of the reading.  The int-first test and the
+        decode check depend on the vector alone.  Anything else, and every
+        miss, goes through ``resolve``; unknown readings are not kept.  A
+        hit otherwise returns the very ``Resolved`` that ``resolve``
+        returned; its read-only vector is a memory row, never
+        reallocated, or an integer's own code.
         """
-        rows, changes = self.memory.main_rows, self.memory.changes
-        out, seen, seen_changes, spine = memo.get(key, (None, 0, -1, False))
-        if out is not None and (out.kind == "int" or seen_changes == changes):
+        rows = len(self.memory)
+        out, seen = memo.get(key, (None, rows))
+        if out is not None and out.kind == "int":
             return out
-        v = vector()
-        if out is not None:
-            name, score = self.memory.best_since(v, seen)
-            if not spine and score < out.similarity:
-                memo[key] = (out, rows, changes, False)
+        v = None
+        if out is not None and seen < rows:
+            v = vector()
+            if self.memory.best_since(v, seen) >= out.similarity:
+                out = None
+        if out is None:
+            out = self.resolve(vector() if v is None else v)
+            if out.kind == "unknown":
                 return out
-            if spine and name == out.name and self.memory.in_segment(name):
-                out = self._named(name, score)
-                memo[key] = (out, rows, changes, True)
-                return out
-        out = self.resolve(v)
-        if out.kind != "unknown":
-            memo[key] = (out, rows, changes, self.memory.in_segment(out.name))
+        elif out.name in self._spine:
+            out = self._named(out.name, out.similarity)
+        memo[key] = (out, rows)
         return out
 
     def _unbind_role(self, r: Resolved, role: str) -> Resolved:
         """``resolve`` of what ``role`` holds in the chunk ``r`` names.
 
-        A main chunk is written once, so the vector unbound from it never
-        changes: its parts are memoized per (chunk name, role).  A spine
-        cell's name stands for another chunk in every form, so its parts
-        go through the value memo, keyed by their bytes; with pooled
-        pointers, a sub-form that repeats an earlier one rebuilds them bit
-        for bit, and their readings serve it across forms.
+        A chunk in memory is written once, so the vector unbound from it
+        never changes: its parts are memoized per (chunk name, role).  A
+        spine cell names another chunk, kept in ``_spine``, in every form,
+        so its parts go through the value memo, keyed by their bytes; a
+        sub-form that repeats an earlier one rebuilds them bit for bit,
+        and their readings serve it across forms.
         """
-        def unbound() -> np.ndarray:
-            return unbind(self.memory.chunk(r.name), self._role(role))
-
-        if self.memory.in_segment(r.name):
-            return self._resolve_value(unbound())
-        return self._memoized_resolve(self._readings, (r.name, role), unbound)
+        chunk = self._spine.get(r.name)
+        if chunk is not None:
+            return self._resolve_value(unbind(chunk, self._role(role)))
+        return self._memoized_resolve(
+            self._readings,
+            (r.name, role),
+            lambda: unbind(self.memory.chunk(r.name), self._role(role)),
+        )
 
     def _resolve_value(self, v: np.ndarray) -> Resolved:
         """``resolve`` of a runtime value, memoized by its exact bytes.
@@ -528,22 +530,20 @@ class Session:
     def eval_expr(self, expr: SExpr) -> np.ndarray:
         """Encode and evaluate one top-level form in the global scope.
 
-        The form's spine (see ``_encode_code``) lives in the memory's
-        segment for the form only: when the form returns or raises, the
-        segment is dropped.  So memory grows only by what the form's
-        values keep.  The form's pointer and its spine's parts are read
-        through the value memo, whose readings outlive the form exactly
-        (see ``_memoized_resolve``), so nothing is dropped from the memos.
-        Evaluation recurses on the Python stack, so a program nested or
-        recursing too deeply raises ``RecursionDepthError``.
+        The form's spine (see ``_encode_code``) takes the cells
+        ``code-0``, ``code-1``, ... again: memory grows by a spine cell
+        only when a form's spine is longer than every earlier one, and
+        otherwise only by what the form's values keep.  The form's
+        pointer and its spine's parts are read through the value memo,
+        whose readings outlive the form exactly (see
+        ``_memoized_resolve``).  Evaluation recurses on the Python stack,
+        so a program nested or recursing too deeply raises
+        ``RecursionDepthError``.
         """
         self._counts[_SPINE] = 0
-        try:
-            with _depth_guard("evaluation"):
-                code = self._resolve_value(self._encode_code(expr))
-                return self.eval_vec(code, self.global_env)
-        finally:
-            self.memory.drop_segment()
+        with _depth_guard("evaluation"):
+            code = self._resolve_value(self._encode_code(expr))
+            return self.eval_vec(code, self.global_env)
 
     def eval_source(self, source: str) -> Iterator[str]:
         """Evaluate every form in ``source``, yielding printed results."""
@@ -785,7 +785,7 @@ class Session:
         if r.kind == "pointer":
             return f"#<chunk {r.name}>"
         # not a recall: a session always holds its bootstrap entries
-        return f"#<vector sim={self.memory.best_since(r.vector, 0)[1]:.3f}>"
+        return f"#<vector sim={self.memory.best_since(r.vector, 0):.3f}>"
 
     # -- persistence ----------------------------------------------------
 
@@ -795,19 +795,21 @@ class Session:
         The payload after the codebook block is a flat inventory of
         length-prefixed UTF-8 names and interleaved re/im float64
         vectors; entry kinds, chunk payloads, and environment structure
-        ride in name prefixes.
+        ride in name prefixes.  Spine cells are not written: no value
+        refers to one, and the next form that needs one stores it again.
         """
         if isinstance(dest, (str, Path)):
             with open(dest, "wb") as fh:
                 self.save(fh)
             return
-        entries: list[tuple[str, np.ndarray]] = []
-        for name in self.memory.names():
-            entries.append(
-                (f"{self.memory.kind(name)}:{name}", self.memory.vector(name))
-            )
-        for name in self.memory.names(kind="pointer"):
-            entries.append((f"chunk:{name}", self.memory.chunk(name)))
+        kept = [name for name in self.memory.names() if name not in self._spine]
+        entries = [
+            (f"{self.memory.kind(name)}:{name}", self.memory.vector(name))
+            for name in kept
+        ]
+        for name in kept:
+            if self.memory.kind(name) == "pointer":
+                entries.append((f"chunk:{name}", self.memory.chunk(name)))
         for handle, env in self.environments.items():
             if env.parent is not None:
                 parent = env.parent.handle

@@ -3,11 +3,10 @@
 A ``CleanupMemory`` stores named unit-phasor vectors and answers nearest
 neighbour queries under the real-part similarity kernel.  Entries carry a
 kind: plain symbols, or pointers that name a stored composite chunk,
-which ``chunk`` returns for unbinding.  Main entries are kept for good;
-entries added to the segment are dropped together, which is how a
-session forgets a top-level form's own cells.  The memory keeps one
-index of its live entries, from name to scan row; each row's kind and
-vector sit at the same position in lists beside it.  Lexical scopes are
+which ``chunk`` returns for unbinding.  The memory is append-only: every
+entry is kept for good.  It keeps one index of its entries, from name
+to scan row; each row's kind and vector sit at the same position in
+lists beside it.  Lexical scopes are
 chains of plain name -> vector dicts linked by parent pointers; they are
 only ever read by name, so they need no cleanup memory of their own.
 """
@@ -30,9 +29,9 @@ from .fhrr import FLOOR, similarity
 
 __all__ = ["RecallResult", "CleanupMemory", "Environment"]
 
-#: Main rows per complex128 block.  A block is never reallocated, so a
-#: row handed out by ``vector`` or ``recall`` keeps no dropped buffer alive.
-#: Blocks rather than one copy per row: storing every main row as its own
+#: Rows per complex128 block.  A block is never reallocated, so a row
+#: handed out by ``vector`` or ``recall`` keeps no dropped buffer alive.
+#: Blocks rather than one copy per row: storing every row as its own
 #: array read 3-4% more peak RSS on the ``repl`` and ``lists`` benchmarks.
 _BLOCK_ROWS = 64
 
@@ -74,27 +73,22 @@ class RecallResult:
 class CleanupMemory:
     """Named phasor vectors with nearest neighbour recall.
 
-    Entries are unique by name and never rewritten.  Pointer entries
-    additionally carry a composite chunk vector, retrieved by ``chunk``
-    and, like the entries, written once.  Main entries are append-only;
-    an entry added with ``segment=True`` joins the segment instead, which
-    ``drop_segment`` forgets whole, chunks included.  Recall scans both,
-    and on equal scores a main entry wins over a segment entry.
-    Recalls are counted so benchmarks can report memory traffic, and adds
-    and segment drops so a caller can tell nothing has changed since it
-    last looked.  A vector whose components are not all finite and within
+    The memory is one append-only store: entries are unique by name,
+    never rewritten and never dropped, so the scan row an entry gets is
+    its place in the order entries came.  Pointer entries may carry a
+    composite chunk vector, retrieved by ``chunk`` and, like the entries,
+    written once; a pointer whose chunk changes, as a session's spine
+    cells do, carries none here.  Recalls are counted so benchmarks can report memory
+    traffic.  A vector whose components are not all finite and within
     float32 range is refused (see ``storable``).
 
-    One index maps each live name to its scan row, and the row's name,
-    kind and complex128 vector sit at that position in three lists.  A
-    main vector is stored in a fixed block of ``_BLOCK_ROWS``, a segment
-    vector as its own copy; both are handed out read-only, so a vector
-    kept by a caller pins no dropped buffer.  The scan matrix holds each
-    vector's conjugate rounded to complex64: the main rows in the order
-    they came, then the segment's rows.  A main append while the segment
-    holds rows moves the segment's first scan row to the segment's end,
-    so the live rows always form one range and one product scans them.
-    The matrix grows by doubling; no view of it leaves the memory.
+    One index maps each name to its scan row, and the row's name, kind
+    and complex128 vector sit at that position in three lists.  Vectors
+    are stored in fixed blocks of ``_BLOCK_ROWS`` and handed out
+    read-only, so a vector kept by a caller pins no dropped buffer.  The
+    scan matrix holds each vector's conjugate rounded to complex64, in
+    the order the rows came; it grows by doubling, and no view of it
+    leaves the memory.
 
     ``_best`` scans in complex64 and rescores in float64, with
     ``fhrr.similarity``, only the rows whose complex64 score lies within
@@ -107,10 +101,7 @@ class CleanupMemory:
     least top - 2*delta in complex64, so it is rescored; every row left
     out scores below top - delta in float64, under the winner.  So the
     answer is exactly the first scan row with the highest float64
-    similarity.  On a tie a main row wins over a segment row, and of two
-    main rows the one stored first; of two segment rows the one whose
-    scan row comes first, which need not be the one stored first, since
-    every main append moves the segment's first scan row to its end.
+    similarity: on a tie, the row stored first wins.
 
     ``recall`` first reads only the first h = ceil(n/2) columns of the
     scan rows, a quarter of the bytes of a complex128 scan.  Let P_m be
@@ -136,8 +127,8 @@ class CleanupMemory:
     passes n and nothing is dropped.  On the benchmark's plans at dim
     1000 recall stops after the first half 87-96% of the time; at dim
     256 about half the time.  ``best_since`` keeps the one pass: its rows
-    are the few added since a reading and the segment, whose best score
-    is far below the remembered winner, so the bound would drop nothing.
+    are the few added since a reading, whose best score is far below the
+    remembered winner, so the bound would drop nothing.
     """
 
     def __init__(self, dim: int, floor: float = FLOOR) -> None:
@@ -146,27 +137,20 @@ class CleanupMemory:
         self.dim = dim
         self.floor = floor
         self.recalls = 0
-        #: number of main entries, which never falls; scan rows from here
-        #: on are the segment's
-        self.main_rows = 0
-        #: entries added and segments dropped so far: while it holds, every
-        #: recall answers as before
-        self.changes = 0
-        #: name -> scan row of every live entry, in the order they came
+        #: name -> scan row of every entry, in the order they came
         self._index: dict[str, int] = {}
         #: name, kind and read-only complex128 vector of each scan row
         self._names: list[str] = []
         self._kinds: list[str] = []
         self._rows: list[np.ndarray] = []
         self._chunks: dict[str, np.ndarray] = {}
-        #: the block main rows are being written to, and its read-only view
+        #: the block rows are being written to, and its read-only view
         self._block: np.ndarray | None = None
         self._frozen: np.ndarray | None = None
-        # rows past the live ones are never read, so no buffer is zeroed
+        # rows past the stored ones are never read, so no buffer is zeroed
         self._scan = np.empty((_BLOCK_ROWS, dim), dtype=np.complex64)
         #: largest 2-norm stored of a whole row and of the columns from
-        #: ``_half`` on; rows need not be unit phasors, and neither falls
-        #: when the segment is dropped
+        #: ``_half`` on; rows need not be unit phasors
         self._max_norm = self._max_tail = 0.0
         #: columns ``recall`` reads before it tries to stop
         self._half = -(-dim // 2)
@@ -181,14 +165,10 @@ class CleanupMemory:
         )
 
     def __len__(self) -> int:
-        """Live entries: the main ones and the segment's."""
         return len(self._index)
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
-
-    def in_segment(self, name: str | None) -> bool:
-        return self._index.get(name, -1) >= self.main_rows
 
     def names(self, kind: str | None = None) -> list[str]:
         if kind is None:
@@ -207,9 +187,7 @@ class CleanupMemory:
         """Stored kind for ``name``; KeyError if absent."""
         return self._kinds[self._index[name]]
 
-    def add(
-        self, name: str, v: np.ndarray, kind: str = "symbol", segment: bool = False
-    ) -> None:
+    def add(self, name: str, v: np.ndarray, kind: str = "symbol") -> None:
         """Store ``v`` under ``name``; a duplicate name raises ValueError.
 
         A vector of the wrong length, or with a component that is not
@@ -229,34 +207,19 @@ class CleanupMemory:
             )
         if name in self._index:
             raise ValueError(f"entry {name!r} already stored")
-        n = len(self._names)
-        if n == self._scan.shape[0]:
-            grown = np.empty((2 * n, self.dim), dtype=np.complex64)
-            grown[:n] = self._scan
+        i = len(self._names)
+        if i == self._scan.shape[0]:
+            grown = np.empty((2 * i, self.dim), dtype=np.complex64)
+            grown[:i] = self._scan
             self._scan = grown
-        if segment:
-            i = n
-            row = np.array(v, dtype=np.complex128)
-            row.flags.writeable = False
-        else:
-            i = self.main_rows
-            if i % _BLOCK_ROWS == 0:
-                self._block = np.empty((_BLOCK_ROWS, self.dim), dtype=np.complex128)
-                self._frozen = self._block.view()
-                self._frozen.flags.writeable = False
-            self._block[i % _BLOCK_ROWS] = v
-            row = self._frozen[i % _BLOCK_ROWS]
-            self.main_rows = i + 1
-        names, kinds, rows = self._names, self._kinds, self._rows
-        names.append(name)
-        kinds.append(kind)
-        rows.append(row)
-        if i < n:  # main rows come first: the segment row at ``i`` moves to the end
-            names[i], names[n] = name, names[i]
-            kinds[i], kinds[n] = kind, kinds[i]
-            rows[i], rows[n] = row, rows[i]
-            self._index[names[n]] = n
-            self._scan[n] = self._scan[i]
+        if i % _BLOCK_ROWS == 0:
+            self._block = np.empty((_BLOCK_ROWS, self.dim), dtype=np.complex128)
+            self._frozen = self._block.view()
+            self._frozen.flags.writeable = False
+        self._block[i % _BLOCK_ROWS] = v
+        self._names.append(name)
+        self._kinds.append(kind)
+        self._rows.append(self._frozen[i % _BLOCK_ROWS])
         self._index[name] = i
         scan_row = self._scan[i]
         scan_row[:] = v
@@ -264,17 +227,10 @@ class CleanupMemory:
         tail = v[self._half:]
         self._max_norm = max(self._max_norm, norm)
         self._max_tail = max(self._max_tail, math.sqrt(np.vdot(tail, tail).real))
-        self.changes += 1
 
-    def add_chunk(
-        self,
-        name: str,
-        pointer: np.ndarray,
-        composite: np.ndarray,
-        segment: bool = False,
-    ) -> None:
+    def add_chunk(self, name: str, pointer: np.ndarray, composite: np.ndarray) -> None:
         """Store a pointer entry together with the chunk it names."""
-        self.add(name, pointer, kind="pointer", segment=segment)
+        self.add(name, pointer, kind="pointer")
         self.attach_chunk(name, composite)
 
     def attach_chunk(self, name: str, composite: np.ndarray) -> None:
@@ -291,15 +247,6 @@ class CleanupMemory:
         if name in self._chunks:
             raise ValueError(f"pointer {name!r} already has a chunk")
         self._chunks[name] = composite
-
-    def drop_segment(self) -> None:
-        """Forget every segment entry and its chunk."""
-        main = self.main_rows
-        for name in self._names[main:]:
-            del self._index[name]
-            self._chunks.pop(name, None)
-        del self._names[main:], self._kinds[main:], self._rows[main:]
-        self.changes += 1
 
     def _rescore(
         self, v: np.ndarray, start: int, scores: np.ndarray, norm: float,
@@ -328,10 +275,10 @@ class CleanupMemory:
         Returns the row and its ``fhrr.similarity``, or ``(-1, -inf)``
         when no row lies past ``start``.
         """
-        live = len(self._names)
-        if start >= live:
+        stored = len(self._names)
+        if start >= stored:
             return -1, -math.inf
-        scores = (self._scan[start:live] @ v.astype(np.complex64)).real
+        scores = (self._scan[start:stored] @ v.astype(np.complex64)).real
         return self._rescore(v, start, scores, math.sqrt(np.vdot(v, v).real))
 
     def _best_by_halves(self, v: np.ndarray) -> tuple[int, float]:
@@ -380,16 +327,14 @@ class CleanupMemory:
             name=name, vector=self._rows[i], similarity=score, kind=self._kinds[i]
         )
 
-    def best_since(self, v: np.ndarray, row: int) -> tuple[str | None, float]:
-        """Name and similarity of the first best match for ``v`` among the
-        main entries from ``row`` on and every segment entry, in scan order.
+    def best_since(self, v: np.ndarray, row: int) -> float:
+        """Best similarity to ``v`` among the entries from scan row ``row``
+        on, the score ``recall`` would give the best of them.
 
         Not a recall: nothing is counted and no floor applies.  With no
-        such entry it is ``(None, -inf)``.  The score is the one ``recall``
-        would give that entry.
+        such entry it is ``-inf``.
         """
-        i, score = self._best(v, row)
-        return (self._names[i] if i >= 0 else None), score
+        return self._best(v, row)[1]
 
     def stats(self) -> dict[str, int]:
         return {

@@ -190,10 +190,12 @@ def test_criterion_5_interpreter_suite():
 
 
 def test_criterion_6_addition_cost_shape():
+    # Each shape is the median of three timed runs: one run's exponent
+    # dips below 1 by chance on a loaded machine.
     t0 = time.perf_counter()
-    results = run_benchmark()
-    flat = flatness_ratio(results)
-    slope = growth_exponent(results)
+    runs = [run_benchmark() for _ in range(3)]
+    flat = float(np.median([flatness_ratio(r) for r in runs]))
+    slope = float(np.median([growth_exponent(r) for r in runs]))
     elapsed = time.perf_counter() - t0
     ok = flat <= 2.0 and slope >= 1.0 and elapsed < 300
     report(

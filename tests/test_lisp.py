@@ -289,31 +289,48 @@ def test_division_does_not_decode_the_inverse_it_computes(monkeypatch):
 
 def test_each_spine_cell_takes_one_pooled_pointer(session):
     assert run(session, "(car (quote (a)))") == "a"
-    pool = dict(session._pool)
-    assert sorted(pool) == ["code-0", "code-1", "code-2", "code-3"]
-    assert not any(p.flags.writeable for p in pool.values())
+    cells = ["code-0", "code-1", "code-2", "code-3"]
+    assert sorted(session._spine) == cells
+    rows = [session.memory.vector(name) for name in cells]
+    assert not any(row.flags.writeable for row in rows)
     assert run(session, "(cdr (quote (a b)))") == "(b)"
-    assert all(session._pool[name] is p for name, p in pool.items())
+    # the second form takes the same four entries, with chunks of its own
+    spine = [n for n in session.memory.names() if n.startswith("code-")]
+    assert spine == cells
+    assert all(session.memory.vector(n) is row for n, row in zip(cells, rows))
 
 
 def test_a_spine_reading_is_served_only_while_its_cell_wins():
     session = Session()
     # the form's own pointer, read as its outermost cell, code-3
     assert run(session, "(car (quote (a)))") == "a"
-    pointer = session._pool["code-3"]
-    # the cell went with its form, and so does the reading
-    assert session._resolve_value(pointer).kind == "unknown"
-    # a program may intern the cell's name between forms: a main entry
-    # of that name is not the cell
-    session.symbol("code-3")
-    assert session._resolve_value(pointer).kind == "unknown"
+    pointer = session.memory.vector("code-3")
+    # the cell outlives its form, and so does the reading
+    reading = session._resolve_value(pointer)
+    assert (reading.kind, reading.name) == ("cons", "code-3")
+    # once stored, the cell's name is reserved, as a cell-<n> is
+    with pytest.raises(EvalError, match="'code-3' names an internal entry"):
+        run(session, "(quote code-3)")
+    # an entry added since that ties the cell loses to it, as in a
+    # recall: the row stored first wins
+    session.memory.add("twin", pointer.copy())
+    assert session.memory.recall(pointer).name == "code-3"
+    assert session._resolve_value(pointer).name == "code-3"
+    assert run(session, "(car (quote (b)))") == "b"
 
-    session = Session()
-    assert run(session, "(car (quote (a)))") == "a"
-    # a main entry added since that ties the cell wins, as in a recall
-    session.memory.add("twin", session._pool["code-3"].copy())
-    with pytest.raises(UnboundSymbolError):
-        run(session, "(car (quote (b)))")
+
+def test_a_saved_session_holds_no_spine_cell(session):
+    assert run(session, "(define xs (quote (a (b 2) c)))") == "xs"
+    assert "code-0" in session.memory
+    buf = io.BytesIO()
+    session.save(buf)
+    data = buf.getvalue()
+    assert b"pointer:code-" not in data and b"chunk:code-" not in data
+    other = Session.restore(io.BytesIO(data))
+    names = session.memory.names()
+    assert other.memory.names() == [n for n in names if not n.startswith("code-")]
+    for check in ("(car (cdr xs))", "(cdr (car (cdr xs)))"):
+        assert run(other, check) == run(session, check)
 
 
 def test_the_column_classes_wait_for_the_first_integer():
@@ -792,7 +809,7 @@ def test_a_restored_session_names_cells_as_the_live_one_does(session):
     session.save(buf)
     other = Session.restore(io.BytesIO(buf.getvalue()))
     for s in (session, other):
-        # the source's own cells are code- cells, gone when the form ends
+        # the source's own cells are code- cells, which a save leaves out
         assert run(s, "(cons 1 2)") == "(1 . 2)"
         with pytest.raises(EvalError, match="'cell-0' names an internal entry"):
             run(s, "(quote cell-0)")
@@ -807,8 +824,8 @@ def test_a_restored_session_names_cells_as_the_live_one_does(session):
 
 
 def test_memory_size_holds_while_one_form_repeats(session):
-    # each form's own cells go when the form ends, so memory keeps only
-    # what values refer to: here, after the first call, nothing new
+    # each form takes the spine cells again, so memory keeps only what
+    # values refer to: here, after the first call, nothing new
     run(session, "(define sq (lambda (x) (* x x)))")
     assert run(session, "(sq (+ 1 2))") == "9"
     size = len(session.memory)

@@ -80,20 +80,27 @@ def test_duplicate_name_rejected_without_replace(mem, rng):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, 1e39j, np.nan * 1j])
-@pytest.mark.parametrize("segment", [False, True])
-def test_a_vector_with_a_bad_component_is_rejected_whole(mem, rng, bad, segment):
+@pytest.mark.parametrize("chunk", [False, True])
+def test_a_vector_with_a_bad_component_is_rejected_whole(mem, rng, bad, chunk):
+    def add(name, v):
+        # a pointer stored with its chunk takes the same test
+        if chunk:
+            mem.add_chunk(name, v, random_symbol(rng, D))
+        else:
+            mem.add(name, v)
+
     a = random_symbol(rng, D)
     mem.add("a", a)
     v = random_symbol(rng, D)
     v[7] = bad
     with pytest.raises(DimensionError):
-        mem.add("b", v, segment=segment)
-    assert (len(mem), mem.main_rows, mem.changes) == (1, 1, 1)
-    assert "b" not in mem
+        add("b", v)
+    assert len(mem) == 1
+    assert "b" not in mem and mem.stats()["chunks"] == 0
     assert mem.recall(a).name == "a"
     # the rule is a session file's: each component finite and within
     # float32 range, whatever the vector's norm
-    mem.add("edge", np.full(D, 3e38 + 0j), segment=segment)
+    add("edge", np.full(D, 3e38 + 0j))
     assert len(mem) == 2
 
 
@@ -136,8 +143,9 @@ def test_best_since_scores_only_later_entries(mem, rng):
     mem.add("early", early)
     mem.add("late", late)
     before = mem.recalls
-    assert mem.best_since(early, 1) == ("late", similarity(late, early))
-    assert mem.best_since(late, 1) == ("late", pytest.approx(1.0))
+    assert mem.best_since(early, 1) == similarity(late, early)
+    assert mem.best_since(late, 1) == pytest.approx(1.0)
+    assert mem.best_since(late, 2) == -np.inf
     assert mem.recalls == before
 
 
@@ -209,7 +217,7 @@ def test_a_near_tie_inside_the_bound_goes_to_the_float64_winner(mem, rng):
     hit = mem.recall(query)
     assert hit.name == "a"
     assert hit.similarity == similarity(a, query)
-    assert mem.best_since(query, 0) == ("a", similarity(a, query))
+    assert mem.best_since(query, 0) == similarity(a, query)
 
 
 def test_a_row_complex64_ranks_first_loses_to_the_float64_winner():
@@ -239,21 +247,21 @@ def test_the_first_of_two_identical_rows_wins(mem, rng):
     mem.add("first", v)
     mem.add("second", v.copy())
     assert mem.recall(v).name == "first"
-    assert mem.best_since(v, 1) == ("second", similarity(v, v))
+    assert mem.best_since(v, 1) == similarity(v, v)
 
 
 def _stored_rows(gen, dim, count):
-    """(vector, in segment) pairs in the order they are added: non-unit
-    rows, superpositions near earlier rows, exact duplicates, rows equal
-    to an earlier one on the first half only, first-half-only nudges of
-    1e-7, and segment rows among the main ones, no two of them equal."""
+    """Vectors in the order they are added: non-unit rows,
+    superpositions near earlier rows, exact duplicates, rows equal to an
+    earlier one on the first half only, and first-half-only nudges of
+    1e-7."""
     h = -(-dim // 2)  # the columns recall reads first
-    rows, segment = [], []
+    rows = []
     while len(rows) < count:
         v = random_symbol(gen, dim) * gen.uniform(0.2, 3.0)
         kind = gen.integers(6)
         if rows and kind > 0:
-            old = rows[gen.integers(len(rows))][0]
+            old = rows[gen.integers(len(rows))]
             if kind == 1:  # a superposition near an earlier row
                 v = v * 0.1 + old
             elif kind == 2:  # an exact duplicate
@@ -263,44 +271,31 @@ def _stored_rows(gen, dim, count):
             elif kind == 4:  # a first-half-only nudge
                 v = old.copy()
                 v[gen.integers(h)] += 1e-7
-        in_segment = bool(gen.integers(3) == 0)
-        if in_segment and any(np.array_equal(v, u) for u in segment):
-            continue
-        if in_segment:
-            segment.append(v)
-        rows.append((v, in_segment))
+        rows.append(v)
     return rows
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_recall_and_best_since_follow_the_float64_kernel(seed):
-    """The scan's answers equal a per-row float64 argmax over the main
-    rows in the order they came, then the segment's, at odd and even
-    dims, one-column ones among them, and queries with 0-5 crosstalk
-    terms."""
+    """The scan's answers equal a per-row float64 argmax over the rows in
+    the order they came, at odd and even dims, one-column ones among
+    them, and queries with 0-5 crosstalk terms."""
     gen = np.random.default_rng(seed)
     for dim in (1, 2, 3, 7, 64, 257, 1000, 1001):
         mem = CleanupMemory(dim, floor=-np.inf)
         rows = _stored_rows(gen, dim, 150)
-        for i, (v, in_segment) in enumerate(rows):
-            mem.add(f"r{i}", v, segment=in_segment)
-        # the oracle's order: main rows as they came, then segment rows
-        order = [i for i, (_, s) in enumerate(rows) if not s]
-        main = len(order)
-        order += [i for i, (_, s) in enumerate(rows) if s]
+        for i, v in enumerate(rows):
+            mem.add(f"r{i}", v)
         for _ in range(30):
-            query = rows[gen.integers(len(rows))][0] * gen.uniform(0.5, 2.0)
+            query = rows[gen.integers(len(rows))] * gen.uniform(0.5, 2.0)
             for _ in range(gen.integers(6)):
                 query = query + random_symbol(gen, dim) * gen.uniform(0.2, 1.5)
-            sims = [similarity(rows[i][0], query) for i in order]
+            sims = [similarity(v, query) for v in rows]
             hit = mem.recall(query)
-            assert hit.name == f"r{order[int(np.argmax(sims))]}"
+            assert hit.name == f"r{int(np.argmax(sims))}"
             assert hit.similarity == max(sims)
-            for start in (0, main // 2, main):
-                first = start + int(np.argmax(sims[start:]))
-                assert mem.best_since(query, start) == (
-                    f"r{order[first]}", max(sims[start:])
-                )
+            for start in (0, len(rows) // 2, len(rows) - 1):
+                assert mem.best_since(query, start) == max(sims[start:])
 
 
 def test_a_row_leading_on_the_first_half_loses_to_the_whole_row_winner():
@@ -366,88 +361,6 @@ def test_a_clean_winner_is_recalled_from_the_first_half_of_the_scan():
     hit = mem.recall(query)
     assert hit.name == "a10"
     assert hit.similarity == similarity(atoms[10], query)
-
-
-# -- the segment -------------------------------------------------------
-
-
-def test_segment_entries_are_recalled_counted_and_dropped(mem, rng):
-    a, b, c = (random_symbol(rng, D) for _ in range(3))
-    mem.add("a", a)
-    mem.add_chunk("s", b, superpose(b, a), segment=True)
-    assert mem.in_segment("s") and not mem.in_segment("a")
-    assert (len(mem), mem.main_rows) == (2, 1)
-    assert mem.recall(b).name == "s"
-    assert np.array_equal(mem.chunk("s"), superpose(b, a))
-    mem.add("c", c)  # a main append while the segment holds a row
-    assert mem.names() == ["a", "s", "c"]
-    for name, v in (("a", a), ("s", b), ("c", c)):
-        assert mem.recall(v).name == name
-        assert np.array_equal(mem.vector(name), v)
-    # the kinds moved with the rows: s's scan row went past c's
-    assert mem.kind("s") == mem.recall(b).kind == "pointer"
-    assert mem.kind("c") == mem.recall(c).kind == "symbol"
-    assert mem.names(kind="pointer") == ["s"]
-    assert mem.best_since(b, 2) == ("s", pytest.approx(1.0))
-    mem.drop_segment()
-    assert (len(mem), mem.main_rows) == (2, 2)
-    assert "s" not in mem and mem.names() == ["a", "c"]
-    assert mem.names(kind="pointer") == []
-    with pytest.raises(KeyError):
-        mem.chunk("s")
-    with pytest.raises(NoMatchError):
-        mem.recall(b)
-    # nothing past the main rows is scanned once the segment is gone
-    assert mem.best_since(b, 2) == (None, -np.inf)
-    mem.add("s", b)  # the name is free again
-    assert mem.recall(b).name == "s"
-    assert mem.kind("s") == mem.recall(b).kind == "symbol"
-
-
-def test_a_main_row_wins_a_tie_with_an_earlier_segment_row(mem, rng):
-    v = random_symbol(rng, D)
-    mem.add("seg", v, segment=True)
-    mem.add("main", v.copy())
-    assert mem.recall(v).name == "main"
-
-
-def test_each_main_append_rotates_which_identical_segment_row_wins(mem, rng):
-    v = random_symbol(rng, D)
-    mem.add("s1", v, segment=True)
-    mem.add("s2", v.copy(), segment=True)
-    assert mem.recall(v).name == "s1"
-    # the segment's first scan row moves to its end on each main append
-    mem.add("m1", random_symbol(rng, D))
-    assert mem.recall(v).name == "s2"
-    mem.add("m2", random_symbol(rng, D))
-    assert mem.recall(v).name == "s1"
-
-
-def test_segment_rows_survive_many_main_appends(rng):
-    mem = CleanupMemory(D)
-    seg = [random_symbol(rng, D) for _ in range(5)]
-    for i, v in enumerate(seg):
-        mem.add(f"s{i}", v, segment=True)
-    main = [random_symbol(rng, D) for _ in range(150)]  # past two growths
-    for i, v in enumerate(main):
-        mem.add(f"m{i}", v)
-    for prefix, rows in (("s", seg), ("m", main)):
-        for i, v in enumerate(rows):
-            assert mem.recall(v).name == f"{prefix}{i}"
-            assert np.array_equal(mem.vector(f"{prefix}{i}"), v)
-    assert mem.best_since(seg[3], 150) == ("s3", similarity(seg[3], seg[3]))
-    mem.drop_segment()
-    assert len(mem) == mem.main_rows == 150
-    assert mem.recall(main[149]).name == "m149"
-
-
-def test_segment_rows_are_read_only_copies(mem, rng):
-    v = random_symbol(rng, D)
-    mem.add("s", v, segment=True)
-    row = mem.vector("s")
-    assert not np.shares_memory(row, v)
-    with pytest.raises(ValueError):
-        row[0] = 0
 
 
 # -- environments ------------------------------------------------------

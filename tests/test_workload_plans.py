@@ -47,7 +47,7 @@ class Unmemoized(Session):
         codebook._decoded = _Forgetful()
 
     def _unbind_role(self, r, role):
-        return self.resolve(unbind(self.memory.chunk(r.name), self._role(role)))
+        return self.resolve(unbind(self._chunk(r.name), self._role(role)))
 
     def _resolve_value(self, v):
         return self.resolve(v)
@@ -57,40 +57,27 @@ class Float64Memory(CleanupMemory):
     """Recall by scoring every complex128 row in one float64 product.
 
     The reference for the complex64 scan: it keeps its own copy of the
-    rows, the main ones and then the segment's in the order they came, and
-    never rescores, so it shares no scan code with the memory.
+    rows in the order they came, and never rescores, so it shares no scan
+    code with the memory.
     """
 
     def __init__(self, dim):
         super().__init__(dim)
-        self._main = np.zeros((64, dim), dtype=np.complex128)
-        self._main_names = []
-        self._segment = []  # (name, vector) in the order they came
+        self._copy = np.zeros((64, dim), dtype=np.complex128)
+        self._copy_names = []
 
-    def add(self, name, v, kind="symbol", segment=False):
-        super().add(name, v, kind=kind, segment=segment)
-        if segment:
-            self._segment.append((name, np.array(v)))
-            return
-        n = len(self._main_names)
-        if n == len(self._main):
-            self._main = np.concatenate([self._main, np.zeros_like(self._main)])
-        self._main[n] = v
-        self._main_names.append(name)
-
-    def drop_segment(self):
-        super().drop_segment()
-        self._segment.clear()
+    def add(self, name, v, kind="symbol"):
+        super().add(name, v, kind=kind)
+        n = len(self._copy_names)
+        if n == len(self._copy):
+            self._copy = np.concatenate([self._copy, np.zeros_like(self._copy)])
+        self._copy[n] = v
+        self._copy_names.append(name)
 
     def _sims(self, v, row):
-        """Names and similarities of the main rows from ``row`` on, then
-        of the segment's rows."""
-        names = self._main_names[row:] + [n for n, _ in self._segment]
-        rows = np.concatenate(
-            [self._main[row:len(self._main_names)]]
-            + [u[None] for _, u in self._segment]
-        )
-        return names, similarities(rows, v)
+        """Names and similarities of the rows from ``row`` on."""
+        names = self._copy_names[row:]
+        return names, similarities(self._copy[row:len(self._copy_names)], v)
 
     def recall(self, v):
         self.recalls += 1
@@ -106,11 +93,8 @@ class Float64Memory(CleanupMemory):
         )
 
     def best_since(self, v, row):
-        names, sims = self._sims(v, row)
-        if not len(sims):
-            return None, -math.inf
-        best = int(np.argmax(sims))
-        return names[best], float(sims[best])
+        _, sims = self._sims(v, row)
+        return float(sims.max()) if len(sims) else -math.inf
 
 
 class Float64Recall(Session):
@@ -122,19 +106,22 @@ class Float64Recall(Session):
 
 
 class SpineKept(Session):
-    """Keeps each form's own cells in main memory, as cell- entries,
-    as sessions did before the spine was retired at the end of a form."""
+    """Keeps each form's own cells in memory as cell- entries of their
+    own, as sessions did before forms took the same spine cells again."""
 
     def _encode_code(self, expr):
         return self.encode(expr)
 
 
 class FreshSpine(Session):
-    """Draws every spine pointer afresh from the session's generator, as
-    sessions did before spine pointers were pooled."""
+    """Draws, and discards, a fresh vector for each spine cell a form
+    takes again, where a session advances its generator past that draw."""
 
     def _spine_pointer(self, name):
-        return random_symbol(self.rng, self.config.dim)
+        if name in self._spine:
+            random_symbol(self.rng, self.config.dim)
+            return self.memory.vector(name)
+        return super()._spine_pointer(name)
 
 
 class Verified(Session):
@@ -193,30 +180,17 @@ def _run(cls, sources, check, after_form=None, config=None):
     return printed, buf.getvalue(), _transcript(restored, [check])
 
 
-def _leftovers(session):
-    """What a finished form left behind: live segment rows, and a scan
-    past the main rows that finds any row."""
-    memory = session.memory
-    probe = memory.vector("t")
-    return (
-        len(memory) - memory.main_rows,
-        memory.best_since(probe, memory.main_rows)[1] != -math.inf,
-    )
-
-
 @functools.cache
 def _reference(sources, check):
     """``_run(Session, ...)`` once per case, shared by the differential
-    tests, with ``_leftovers`` after each form and the session's recalls
-    after the last."""
-    leftovers, recalls = [], []
+    tests, with the session's recalls after its last form."""
+    recalls = []
 
     def after_form(session):
-        leftovers.append(_leftovers(session))
         recalls.append(session.memory.recalls)
 
     run = _run(Session, sources, check, after_form)
-    return run, leftovers, recalls[-1]
+    return run, recalls[-1]
 
 
 def _plan_sources(workload):
@@ -258,13 +232,6 @@ def test_retiring_the_spine_leaves_transcripts_unchanged(sources, check):
     # a file that holds the spine, as older sessions saved it, restores
     restored = Session.restore(io.BytesIO(kept_file))
     assert _transcript(restored, [check]) == checked
-
-
-@pytest.mark.parametrize("sources, check", _CASES)
-def test_no_segment_row_or_stale_reading_outlives_its_form(sources, check):
-    leftovers = _reference(sources, check)[1]
-    assert len(leftovers) == len(sources)
-    assert [(i, x) for i, x in enumerate(leftovers) if x != (0, False)] == []
 
 
 @pytest.mark.parametrize("dim", [1000, 384, 256])
@@ -310,7 +277,7 @@ def test_a_one_form_script_is_unchanged_by_the_pool_at_any_dim(source, dim):
 def test_repeated_spines_keep_repl_recalls_down():
     # 3,142 recalls before spine readings outlived their form
     sources, check = _plan_sources("repl")
-    assert _reference(sources, check)[2] <= 2100
+    assert _reference(sources, check)[1] <= 2100
 
 
 def test_repl_seed_2010_reads_the_right_integer():
@@ -345,6 +312,19 @@ def test_small_dim_plans_read_no_cell_as_an_integer(
     plan = WORKLOADS[workload].plan(seed, index)
     assert plan.forms[form].source == source
     session = Session(Config(dim=384, seed=seed))
+    assert _transcript(session, [f.source for f in plan.forms]) == [
+        f.expected for f in plan.forms
+    ]
+
+
+def test_a_closure_at_dim_128_reads_as_a_closure():
+    # At dim 128 the chunk of reverse's closure clears theta against
+    # #cons by crosstalk.  Read as the first tag that clears theta, it is
+    # a cons cell, and forms 5, 9 and 13, the reverse calls, raise
+    # ERROR:not-applicable; the better of the two tags is #lambda.
+    plan = WORKLOADS["lists"].plan(2, 0)
+    assert [plan.forms[i].source.split()[0] for i in (5, 9, 13)] == ["(reverse"] * 3
+    session = Session(Config(dim=128, seed=2))
     assert _transcript(session, [f.source for f in plan.forms]) == [
         f.expected for f in plan.forms
     ]
