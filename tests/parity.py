@@ -11,14 +11,13 @@ default ``Config``; at any other dim, ``Config(dim=dim, seed=plan seed)``.
 Two trees that print the same digest ran the same sessions byte for
 byte.  Run it from the repository root, on each tree to compare::
 
-    PYTHONPATH=src python3 tests/parity.py [--dims 1000,384,256,192,128]
+    PYTHONPATH=src python3 tests/parity.py
 
 The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import io
 import sys
@@ -63,19 +62,9 @@ def session_record(workload: str, seed: int, index: int, dim: int):
     return record, wrong, len(expected)
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--dims", default=",".join(map(str, DIMS)),
-        help="comma-separated dimensions (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--workloads", default=",".join(WORKLOADS),
-        help="comma-separated workloads (default: %(default)s)",
-    )
-    args = parser.parse_args(argv)
-    for dim in (int(d) for d in args.dims.split(",")):
-        for workload in args.workloads.split(","):
+def main() -> None:
+    for dim in DIMS:
+        for workload in WORKLOADS:
             digest = hashlib.sha256()
             wrong = total = 0
             for seed in SEEDS:

@@ -120,8 +120,11 @@ class FreshSpine(Session):
     def _spine_pointer(self, name):
         if name in self._spine:
             random_symbol(self.rng, self.config.dim)
-            return self.memory.vector(name)
-        return super()._spine_pointer(name)
+        else:
+            self.memory.add(
+                name, random_symbol(self.rng, self.config.dim), kind="pointer"
+            )
+        return self.memory.vector(name)
 
 
 class Verified(Session):
