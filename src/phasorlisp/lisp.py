@@ -443,16 +443,16 @@ class Session:
         append-only and recall returns the first of equal best matches
         under one per-row float64 kernel, so W stays the first best while
         every row added since, from M0 on, scores below s; one scan of
-        those rows tells, and none is needed while nothing was added.
-        Then the reading is served, and marked with the size now.  A
-        reading whose winner is a spine cell is rebuilt by ``_named``, its
-        kind from the chunk the cell names in the current form; W's row
-        and score are those of the reading.  The int-first test and the
-        decode check depend on the vector alone.  Anything else, and every
-        miss, goes through ``resolve``; unknown readings are not kept.  A
-        hit otherwise returns the very ``Resolved`` that ``resolve``
-        returned; its read-only vector is a memory row, never
-        reallocated, or an integer's own code.
+        those rows with s as its bar tells, and none is needed while
+        nothing was added.  Then the reading is served, and marked with
+        the size now.  A reading whose winner is a spine cell is rebuilt
+        by ``_named``, its kind from the chunk the cell names in the
+        current form; W's row and score are those of the reading.  The
+        int-first test and the decode check depend on the vector alone.
+        Anything else, and every miss, goes through ``resolve``; unknown
+        readings are not kept.  A hit otherwise returns the very
+        ``Resolved`` that ``resolve`` returned; its read-only vector is a
+        memory row, never reallocated, or an integer's own code.
         """
         rows = len(self.memory)
         out, seen = memo.get(key, (None, rows))
@@ -461,7 +461,7 @@ class Session:
         v = None
         if out is not None and seen < rows:
             v = vector()
-            if self.memory.best_since(v, seen) >= out.similarity:
+            if self.memory.best_since(v, seen, out.similarity) >= out.similarity:
                 out = None
         if out is None:
             out = self.resolve(vector() if v is None else v)

@@ -90,45 +90,45 @@ class CleanupMemory:
     the order the rows came; it grows by doubling, and no view of it
     leaves the memory.
 
-    ``_best`` scans in complex64 and rescores in float64, with
-    ``fhrr.similarity``, only the rows whose complex64 score lies within
-    2*delta of the complex64 maximum.  In unscaled sums with n = dim,
-    delta = (gamma_2n(u32) + 3*u32 + gamma_2n(u64) + u64) * max|m| * |v|
-    bounds the distance between a row's complex64 score and n times its
-    float64 similarity.  The real part of a complex dot is a real dot of
-    2n products, 3*u32 covers rounding both operands to complex64, and
-    Cauchy-Schwarz bounds sum |m_k||v_k|.  The float64 winner scores at
-    least top - 2*delta in complex64, so it is rescored; every row left
-    out scores below top - delta in float64, under the winner.  So the
-    answer is exactly the first scan row with the highest float64
-    similarity: on a tie, the row stored first wins.
-
-    ``recall`` first reads only the first h = ceil(n/2) columns of the
-    scan rows, a quarter of the bytes of a complex128 scan.  Let P_m be
-    row m's complex64 score over them, w the first row with the largest
-    P, s_w its float64 similarity, v_t the query past column h and
-    max|m_t| the largest 2-norm of a stored row past column h.  A row
-    with P_m < n*s_w - max|m_t|*|v_t| - 2*delta scores below s_w in
-    float64, so it can neither win nor tie: P_m lies within
+    Every scan is ``_best``, against a bar b: the first-half leader's
+    score for ``recall``, the score of the reading a memo checks for
+    ``best_since``, and -inf for display.  It answers exactly the first
+    scan row with the highest float64 similarity, as ``fhrr.similarity``
+    gives it, when that similarity reaches b.  With n = dim and
+    h = ceil(n/2) it first reads only the first h columns of the scan
+    rows, a quarter of the bytes of a complex128 scan.  Let P_m be row
+    m's complex64 score over them, w the first row with the largest P,
+    v_t the query past column h, max|m_t| the largest 2-norm of a stored
+    row past column h, and, in unscaled sums,
+    delta = (gamma_2n(u32) + 3*u32 + gamma_2n(u64) + u64) * max|m| * |v|.
+    A row with P_m < n*b - max|m_t|*|v_t| - 2*delta scores below b in
+    float64, so it can neither reach nor tie the bar: P_m lies within
     delta_h = (gamma_2h(u32) + 3*u32) * max|m_h| * |v_h| of the row's
-    exact sum over the first h columns, Cauchy-Schwarz bounds the rest
-    of the sum by max|m_t|*|v_t|, n*similarity lies within
-    delta_64 = (gamma_2n(u64) + u64) * max|m| * |v| of the whole exact
-    sum, and delta_h + delta_64 <= delta leaves a delta to spare for
-    rounding the cut.  The same inequalities keep w.  When w is the only
-    row kept, recall returns it without reading the other columns;
-    otherwise it adds their product to P, the same 2n products summed in
-    another order, so delta still holds, and goes on as ``_best`` does,
-    with s_w reused.  A cons-cell unbinding is its filler plus two
-    crosstalk terms, so |v_t| is about sqrt(3t) for t = n - h, and for
-    unit rows the unread half's bound is about sqrt(3)*t.  A clean winner
-    scores about n, so at h = n/2 the cut sits near 0.13n, five standard
-    deviations of a random row's partial score; at h = 0.4n the bound
-    passes n and nothing is dropped.  On the benchmark's plans at dim
-    1000 recall stops after the first half 87-96% of the time; at dim
-    256 about half the time.  ``best_since`` keeps the one pass: its rows
-    are the few added since a reading, whose best score is far below the
-    remembered winner, so the bound would drop nothing.
+    exact sum over the first h columns (the real part of a complex dot is
+    a real dot of 2h products, 3*u32 covers rounding both operands to
+    complex64, and Cauchy-Schwarz bounds sum |m_k||v_k|), Cauchy-Schwarz
+    bounds the rest of the sum by max|m_t|*|v_t|, n*similarity lies
+    within delta_64 = (gamma_2n(u64) + u64) * max|m| * |v| of the whole
+    exact sum, and delta_h + delta_64 <= delta leaves a delta to spare
+    for rounding the cut.  The same inequalities keep w when b is w's own
+    score.  When no row is kept, none reaches b; when w is the only one,
+    its float64 score decides, and the other columns are never read.
+    Otherwise ``_best`` adds their product to P, the same 2n products
+    summed in another order, so P_m lies within delta of n times the
+    row's similarity, and rescores the rows within 2*delta of the
+    complex64 maximum: the float64 winner scores at least top - 2*delta
+    there, and every row left out scores below top - delta in float64,
+    under the winner.  On a tie the row stored first wins.
+
+    The split is not a tuned knob.  A cons-cell unbinding is its filler
+    plus two crosstalk terms, so |v_t| is about sqrt(3t) for t = n - h,
+    and for unit rows the unread half's bound is about sqrt(3)*t.  A
+    clean winner scores about n, so at h = n/2 the cut sits near 0.13n,
+    five standard deviations of a random row's partial score; at h = 0.4n
+    the bound passes n and nothing is dropped.  On the benchmark's plans
+    at dim 1000, recall stops after the first half 86-96% of the time and
+    the memos' check 90-97% of the time; at dim 256 recall does about
+    half the time.
     """
 
     def __init__(self, dim: int, floor: float = FLOOR) -> None:
@@ -152,7 +152,7 @@ class CleanupMemory:
         #: largest 2-norm stored of a whole row and of the columns from
         #: ``_half`` on; rows need not be unit phasors
         self._max_norm = self._max_tail = 0.0
-        #: columns ``recall`` reads before it tries to stop
+        #: columns a scan reads before it tries to stop
         self._half = -(-dim // 2)
         n = 2 * dim
         # twice delta per unit of max|m| * |v|; past 2n * u32 >= 1 no
@@ -248,60 +248,45 @@ class CleanupMemory:
             raise ValueError(f"pointer {name!r} already has a chunk")
         self._chunks[name] = composite
 
-    def _rescore(
-        self, v: np.ndarray, start: int, scores: np.ndarray, norm: float,
-        known: int = -1, known_score: float = 0.0,
+    def _best(
+        self, v: np.ndarray, start: int = 0, bar: float | None = None
     ) -> tuple[int, float]:
-        """First row with the highest similarity among those whose
-        complex64 score in ``scores`` (rows from ``start`` on) lies within
-        2*delta of the top; ``norm`` is |v|.  Row ``known``'s similarity,
-        ``known_score``, is reused rather than computed again."""
-        top = float(scores.max())
-        cut = top - self._slack * self._max_norm * norm
-        # comparing float32 scores with ``cut`` rounds ``cut`` to float32;
-        # rounding is monotone, so no score at or above ``cut`` drops out
-        best, best_score = -1, -math.inf
-        for i in np.flatnonzero(scores >= cut).tolist():
-            row = start + i
-            s = known_score if row == known else similarity(self._rows[row], v)
-            if s > best_score:
-                best, best_score = row, s
-        return best, best_score
-
-    def _best(self, v: np.ndarray, start: int) -> tuple[int, float]:
         """First scan row from ``start`` on with the highest similarity to
-        ``v``, in one pass over whole rows.
-
-        Returns the row and its ``fhrr.similarity``, or ``(-1, -inf)``
-        when no row lies past ``start``.
+        ``v``, and that similarity, when it reaches ``bar``; ``(-1, -inf)``
+        when none does or no row lies past ``start``.  The default bar is
+        the first-half leader's score, so some row always reaches it.  See
+        the class docstring for the bound that drops rows below the bar.
         """
         stored = len(self._names)
         if start >= stored:
             return -1, -math.inf
-        scores = (self._scan[start:stored] @ v.astype(np.complex64)).real
-        return self._rescore(v, start, scores, math.sqrt(np.vdot(v, v).real))
-
-    def _best_by_halves(self, v: np.ndarray) -> tuple[int, float]:
-        """``_best(v, 0)``, reading the scan rows past column ``_half``
-        only when the bound in the class docstring says they can change
-        the winner."""
         h = self._half
-        scan = self._scan[: len(self._names)]
+        scan = self._scan[start:stored]
         v32 = v.astype(np.complex64)
         norm = math.sqrt(np.vdot(v, v).real)
         scores = (scan[:, :h] @ v32[:h]).real
-        lead = int(scores.argmax())
-        lead_score = similarity(self._rows[lead], v)
-        cut = (
-            self.dim * lead_score
-            - self._max_tail * math.sqrt(np.vdot(v[h:], v[h:]).real)
-            - self._slack * self._max_norm * norm
-        )
-        # as in ``_rescore``, no score at or above ``cut`` drops out
-        if np.count_nonzero(scores >= cut) == 1:
-            return lead, lead_score
-        scores += (scan[:, h:] @ v32[h:]).real
-        return self._rescore(v, 0, scores, norm, lead, lead_score)
+        lead = start + int(scores.argmax())
+        known = -1
+        if bar is None:
+            known, bar = lead, similarity(self._rows[lead], v)
+        slack = self._slack * self._max_norm * norm
+        tail = self._max_tail * math.sqrt(np.vdot(v[h:], v[h:]).real)
+        # comparing float32 scores with a cut rounds the cut to float32;
+        # rounding is monotone, so no score at or above the cut drops out
+        kept = np.count_nonzero(scores >= self.dim * bar - tail - slack)
+        if kept == 0:
+            return -1, -math.inf
+        rows = [lead]
+        if kept > 1:
+            scores += (scan[:, h:] @ v32[h:]).real
+            top = float(scores.max())
+            rows = (start + np.flatnonzero(scores >= top - slack)).tolist()
+        best, best_score = -1, -math.inf
+        for row in rows:
+            s = bar if row == known else similarity(self._rows[row], v)
+            if s > best_score:
+                best, best_score = row, s
+        return (best, best_score) if best_score >= bar else (-1, -math.inf)
 
     def recall(self, v: np.ndarray) -> RecallResult:
         """Best entry for ``v``.
@@ -316,7 +301,7 @@ class CleanupMemory:
         self.recalls += 1
         if not self._index:
             raise MemoryEmptyError("memory is empty")
-        i, score = self._best_by_halves(v)
+        i, score = self._best(v)
         name = self._names[i]
         if score < self.floor:
             raise NoMatchError(
@@ -327,14 +312,16 @@ class CleanupMemory:
             name=name, vector=self._rows[i], similarity=score, kind=self._kinds[i]
         )
 
-    def best_since(self, v: np.ndarray, row: int) -> float:
+    def best_since(
+        self, v: np.ndarray, row: int, bar: float = -math.inf
+    ) -> float:
         """Best similarity to ``v`` among the entries from scan row ``row``
-        on, the score ``recall`` would give the best of them.
+        on, the score ``recall`` would give the best of them, when it
+        reaches ``bar``; ``-inf`` when it does not or no such entry exists.
 
-        Not a recall: nothing is counted and no floor applies.  With no
-        such entry it is ``-inf``.
+        Not a recall: nothing is counted and no floor applies.
         """
-        return self._best(v, row)[1]
+        return self._best(v, row, bar)[1]
 
     def stats(self) -> dict[str, int]:
         return {

@@ -146,6 +146,10 @@ def test_best_since_scores_only_later_entries(mem, rng):
     assert mem.best_since(early, 1) == similarity(late, early)
     assert mem.best_since(late, 1) == pytest.approx(1.0)
     assert mem.best_since(late, 2) == -np.inf
+    # with a bar, a score below it reads as -inf and one reaching it as itself
+    score = similarity(late, early)
+    assert mem.best_since(early, 1, np.nextafter(score, np.inf)) == -np.inf
+    assert mem.best_since(early, 1, score) == score
     assert mem.recalls == before
 
 
@@ -295,7 +299,13 @@ def test_recall_and_best_since_follow_the_float64_kernel(seed):
             assert hit.name == f"r{int(np.argmax(sims))}"
             assert hit.similarity == max(sims)
             for start in (0, len(rows) // 2, len(rows) - 1):
-                assert mem.best_since(query, start) == max(sims[start:])
+                best = max(sims[start:])
+                assert mem.best_since(query, start) == best
+                # a bar the best reaches returns it; one just above, -inf
+                assert mem.best_since(query, start, best) == best
+                assert mem.best_since(query, start, best - 1e-9) == best
+                above = np.nextafter(best, np.inf)
+                assert mem.best_since(query, start, above) == -np.inf
 
 
 def test_a_row_leading_on_the_first_half_loses_to_the_whole_row_winner():

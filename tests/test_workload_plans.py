@@ -92,9 +92,10 @@ class Float64Memory(CleanupMemory):
             name, self.vector(name), float(sims[best]), self.kind(name)
         )
 
-    def best_since(self, v, row):
+    def best_since(self, v, row, bar=-math.inf):
         _, sims = self._sims(v, row)
-        return float(sims.max()) if len(sims) else -math.inf
+        best = float(sims.max()) if len(sims) else -math.inf
+        return best if best >= bar else -math.inf
 
 
 class Float64Recall(Session):
@@ -237,11 +238,14 @@ def test_retiring_the_spine_leaves_transcripts_unchanged(sources, check):
     assert _transcript(restored, [check]) == checked
 
 
-@pytest.mark.parametrize("dim", [1000, 384, 256])
+@pytest.mark.parametrize("dim", [1000, 384, 256, 192, 128])
 @pytest.mark.parametrize("sources, check", _CASES)
 def test_every_memo_answer_equals_a_fresh_resolve(sources, check, dim):
     # Verified asserts it on every answer, hits across forms included; the
-    # memos, spine readings among them, change no output either.
+    # memos, spine readings among them, change no output either.  At dims
+    # 192 and 128 the memo check's half-row cut keeps rows in 13-20% of
+    # checks (5% at dim 1000), so its full read is tested as well as its
+    # early exit.
     if dim == 1000:
         expected = _reference(sources, check)[0]
     else:
