@@ -15,6 +15,7 @@ are similarity tests against the threshold theta.
 from __future__ import annotations
 
 import struct
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -80,11 +81,23 @@ PRIMITIVES = {
 _INT_NAME = "int"
 _ROLE_NAMES = ("#head", "#tail", "#params", "#body", "#env")
 _TAG_NAMES = ("#cons", "#lambda")
+#: name of the global scope's handle
+_GLOBAL = "env-0"
+#: name and kind of each bootstrap entry drawn after the codebook, in order
+_DRAWN = (
+    *((name, "symbol") for name in ("t", "f", "nil")),
+    *((name, "role") for name in _ROLE_NAMES + _TAG_NAMES),
+    (_GLOBAL, "env"),
+)
 
 #: name prefix of the cells of a top-level form's spine, numbered afresh
 #: each form; ``code-<n>`` is stored once, by the first form that needs it,
 #: and every form after takes the same entry with a chunk of its own
 _SPINE = "code"
+
+#: Most a restored memory row's component may differ from modulus 1.  A
+#: drawn row's components lie within a few float64 ulps of it.
+_UNIT_TOL = 1e-9
 
 #: Most runtime values one session keeps resolved; the least recently used
 #: goes first.  A key is a whole vector's bytes (16 KB at dim 1000).
@@ -158,23 +171,74 @@ def _depth_guard(what: str) -> Iterator[None]:
         ) from None
 
 
+@dataclass(frozen=True, eq=False)
+class _Start:
+    """What a session's (dim, moduli, seed) fixes before any form runs."""
+
+    key: tuple[int, tuple[int, ...], int]
+    codebook: ResidueCodebook
+    #: (name, kind, read-only row) of each bootstrap entry, ``int`` first
+    entries: tuple[tuple[str, str, np.ndarray], ...]
+    #: the generator's ``bit_generator.state`` after drawing them
+    state: dict
+
+
+#: the last start built in each thread; see ``Session``
+_starts = threading.local()
+
+
+def _start(config: Config) -> _Start:
+    """This thread's start for ``config``, built if its key is new."""
+    key = (config.dim, config.moduli, config.seed)
+    start = getattr(_starts, "last", None)
+    if start is None or start.key != key:
+        rng = new_rng(config.seed)
+        codebook = make_codebook(ModuliSet(config.moduli), config.dim, rng)
+        entries = [(_INT_NAME, "symbol", codebook.tag)]
+        for name, kind in _DRAWN:
+            row = random_symbol(rng, config.dim)
+            row.flags.writeable = False
+            entries.append((name, kind, row))
+        start = _Start(key, codebook, tuple(entries), rng.bit_generator.state)
+        _starts.last = start
+    return start
+
+
 class Session:
     """One interpreter world: codebook, memory, environments, evaluator.
 
-    Construction is deterministic in the seed: the codebook, the boolean
-    and nil constants, the chunk roles and tags, and the global scope
-    handle are minted in a fixed order.  All evaluation happens over
-    vectors; host Python holds names, environment frames, the chunk
-    inventory, and the memos of what chunk roles and runtime values read as.
+    All evaluation happens over vectors; host Python holds names,
+    environment frames, the chunk inventory, and the memos of what chunk
+    roles and runtime values read as.
+
+    A session's start is fixed by its key (dim, moduli, seed): the
+    codebook, then the 12 bootstrap entries (the integer tag as ``int``,
+    the boolean and nil constants, the chunk roles and tags, and the
+    global scope handle), drawn from ``new_rng(seed)`` in that order, and
+    the generator's state after them.  Each thread builds a key's start
+    once and keeps the last one it built; a session of another key
+    replaces it.  Every session is built from its key's start: a fresh
+    ``new_rng(seed)`` takes the saved state, memory gets the rows, and the
+    codebook object is shared, with the class tables, factor books and
+    decode memo its earlier sessions built.  That is exact.  The codebook
+    and the rows are drawn in a fixed order, so they are a pure function
+    of the key; the restored state makes every later draw the one a cold
+    session makes; the codebook's caches are pure functions of its phase
+    tables; and a decode reading is a pure function of (method, dtype,
+    bytes), because restarts use fixed seeds.  So every vector, transcript
+    and saved byte equals a cold session's.  ``theta`` and ``decode``
+    enter neither the codebook nor the rows.  Nothing shared can be
+    written: the phase tables, the tag and the rows are read-only.
     """
 
     def __init__(self, config: Config | None = None) -> None:
         config = config if config is not None else Config()
-        rng = new_rng(config.seed)
         try:
-            codebook = make_codebook(ModuliSet(config.moduli), config.dim, rng)
-            self._setup(config, codebook, rng)
-            self._bootstrap()
+            start = _start(config)
+            rng = new_rng(config.seed)
+            rng.bit_generator.state = start.state
+            self._setup(config, start.codebook, rng)
+            self._bootstrap(start)
         except MemoryError:
             raise ConfigError(
                 f"a session at dimension {config.dim} needs more memory than "
@@ -208,14 +272,11 @@ class Session:
         #: _resolve_value
         self._values: dict[bytes, tuple[Resolved, int]] = {}
 
-    def _bootstrap(self) -> None:
-        self.memory.add(_INT_NAME, self.codebook.tag)
-        for name in ("t", "f", "nil"):
-            self._mint(name, "symbol")
-        for name in _ROLE_NAMES + _TAG_NAMES:
-            self._mint(name, "role")
-        self.global_env = Environment()
-        self._register_env(self.global_env)
+    def _bootstrap(self, start: _Start) -> None:
+        for name, kind, row in start.entries:
+            self.memory.add(name, row, kind=kind)
+        self.global_env = self.environments[_GLOBAL] = Environment()
+        self.global_env.handle = _GLOBAL
 
     def _mint(self, name: str, kind: str) -> None:
         """Store a fresh random vector under ``name``."""
@@ -511,9 +572,16 @@ class Session:
         return out
 
     def _chain(self, r: Resolved) -> tuple[list[Resolved], Resolved]:
-        """Heads of the cons chain starting at ``r`` and the value ending it."""
+        """Heads of the cons chain starting at ``r`` and the value ending it.
+
+        Each cell of a chain is its own memory entry, so a chain longer
+        than memory revisits a cell, as a corrupt session file can make
+        one do: that raises ``EvalError`` instead of walking forever.
+        """
         heads: list[Resolved] = []
         while r.kind == "cons":
+            if len(heads) == len(self.memory):
+                raise EvalError("a cons chain loops: it is longer than memory")
             heads.append(self._unbind_role(r, "#head"))
             r = self._unbind_role(r, "#tail")
         return heads, r
@@ -838,7 +906,9 @@ class Session:
         vectors the saved session already used.  Entries are applied in
         one pass, in the order ``save`` writes them: an entry that names a
         pointer or scope the file has not yet stored raises
-        ``SessionIOError``.
+        ``SessionIOError``.  So does a memory row that is not a unit
+        phasor: every row a session stores is drawn by ``random_symbol``,
+        and one with a large component would win every recall.
         """
         if isinstance(src, (str, Path)):
             with open(src, "rb") as fh:
@@ -857,6 +927,10 @@ class Session:
                 vec = read_vector(src, cfg.dim)
                 prefix, _, rest = name.partition(":")
                 if prefix in ("symbol", "pointer", "role", "env"):
+                    if not np.abs(np.abs(vec) - 1.0).max() <= _UNIT_TOL:
+                        raise SessionIOError(
+                            f"session entry {name!r} is not a unit phasor"
+                        )
                     sess.memory.add(rest, vec, kind=prefix)
                     if prefix == "env":
                         env = envs[rest] = Environment()
@@ -877,7 +951,7 @@ class Session:
             # a name that is not UTF-8 (a ValueError), is stored twice, or
             # refers to an entry the file does not hold
             raise SessionIOError(f"malformed session entry: {exc}") from None
-        if "env-0" not in sess.environments:
+        if _GLOBAL not in sess.environments:
             raise SessionIOError("session file lacks the global scope")
-        sess.global_env = sess.environments["env-0"]
+        sess.global_env = sess.environments[_GLOBAL]
         return sess

@@ -114,10 +114,15 @@ class ResidueCodebook:
     so ``exp(1j * phases[i])`` is the base vector of modulus ``m_i``.
     ``tag`` is the atomic symbol superposed onto encoded integers by the
     interpreter to mark their type.  Codebooks are immutable after
-    construction, and what they cache (the column classes, the code
-    matrix, the per-modulus factor codebooks, recent readings) is a pure
+    construction: ``phases`` and ``tag`` are read-only.  What they cache
+    (the column classes, the code matrix, the per-modulus factor
+    codebooks, recent readings) is built on first use and is a pure
     function of the phase tables, so any number of sessions in one thread
-    may share one.
+    may share one, and do: every ``Session`` of one (dim, moduli, seed)
+    in a thread takes the codebook of that thread's start, with whatever
+    tables and readings earlier sessions left on it.  A copy made by
+    ``dataclasses.replace`` shares the tables it is given but starts with
+    empty caches.
 
     Every code and every factor atom is, at element k, a function of the
     phase column ``phases[:, k]`` alone, and there are at most ``range``
@@ -142,6 +147,10 @@ class ResidueCodebook:
     _decoded: dict[tuple, int] = field(
         init=False, repr=False, default_factory=dict
     )
+
+    def __post_init__(self) -> None:
+        self.phases.flags.writeable = False
+        self.tag.flags.writeable = False
 
     def classes(self) -> ColumnClasses:
         """The elements grouped by phase column; built on first use."""

@@ -372,6 +372,24 @@ def test_session_file_with_a_corrupt_component_exits_2(
     assert err.startswith("ERROR:io:")
 
 
+def test_session_file_with_a_row_that_is_not_a_unit_phasor_exits_2(
+    saved_session, tmp_path
+):
+    # 6.5e4 lies within float32 range, so only the unit-phasor check
+    # rejects it (tests/test_lisp.py tries each kind of row); the CLI's
+    # timeout bounds the run
+    data = bytearray(saved_session)
+    entry = b"pointer:cell-0"
+    key = struct.pack("<I", len(entry)) + entry
+    assert data.count(key) == 1
+    at = data.index(key) + len(key)
+    data[at:at + 8] = struct.pack("<d", 6.5e4)
+    code, out, err = _run_with_session(tmp_path, bytes(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:io:")
+
+
 def test_deep_recursion_reports_depth_and_keeps_the_session():
     length = (
         "(define length (lambda (l) (cond ((eq? l nil) 0)"

@@ -1,6 +1,11 @@
 import io
 import math
+import signal
+import struct
+import threading
 from collections import Counter
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +17,17 @@ from phasorlisp import (
     DecodeError,
     EvalError,
     LispTypeError,
+    ModuliSet,
     NoInverseError,
     NotApplicableError,
     RecursionDepthError,
     Session,
     SessionIOError,
     UnboundSymbolError,
+    bind,
     decode_residue,
     encode_residue,
+    make_codebook,
     new_rng,
     normalize,
     parse_one,
@@ -35,6 +43,22 @@ from oracles import inverse_mod
 
 def run(session, source):
     return session.print_value(session.eval_expr(parse_one(source)))
+
+
+@contextmanager
+def _within(seconds):
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- encoding and resolution -------------------------------------------
@@ -279,11 +303,13 @@ def test_division_does_not_decode_the_inverse_it_computes(monkeypatch):
 
     monkeypatch.setattr(phasorlisp.residue, "factorize", counting)
     # each reads its two literals, its second operand and its result; the
-    # inverse of 2 (53) is raised to, never encoded and factorized again
-    assert run(Session(), "(* 6 2)") == "12"
+    # inverse of 2 (53) is raised to, never encoded and factorized again.
+    # A seed of its own gives each session a cold codebook, whose decode
+    # memo is empty.
+    assert run(Session(Config(seed=101)), "(* 6 2)") == "12"
     product = len(factorized)
     factorized.clear()
-    assert run(Session(), "(/ 6 2)") == "3"
+    assert run(Session(Config(seed=102)), "(/ 6 2)") == "3"
     assert len(factorized) == product == 4
 
 
@@ -334,7 +360,8 @@ def test_a_saved_session_holds_no_spine_cell(session):
 
 
 def test_the_column_classes_wait_for_the_first_integer():
-    session = Session()
+    # a seed no other session of the thread takes: a cold codebook
+    session = Session(Config(seed=103))
     book = session.codebook
     assert book._classes is None
     assert book._factor_books is None
@@ -361,6 +388,134 @@ def test_force_decode_confidence(session):
     x, conf = session.force_decode(session.encode_int(33))
     assert x == 33
     assert conf == pytest.approx(1.0, abs=1e-9)
+
+
+# -- a session's start ---------------------------------------------------
+
+
+#: integers, a product, a quotient, lists and closures
+MIXED = (
+    "(define sq (lambda (x) (* x x)))"
+    "(sq 7)"
+    "(/ 44 4)"
+    "(define xs (cons 3 (quote (a b))))"
+    "(car (cdr xs))"
+    "(define add (lambda (n) (lambda (x) (+ x n))))"
+    "((add 5) (car xs))"
+)
+
+
+def _cold(config):
+    """A session of ``config`` whose thread's start had another key."""
+    Session(replace(config, seed=config.seed + 1))
+    return Session(config)
+
+
+def _entries(session):
+    return [
+        (name, session.memory.kind(name), session.memory.vector(name).tobytes())
+        for name in session.memory.names()
+    ]
+
+
+def test_a_warm_start_gives_the_entries_and_state_a_cold_one_does():
+    config = Config(seed=201)
+    cold = _cold(config)
+    warm = Session(config)
+    assert warm.codebook is cold.codebook
+    assert _entries(warm) == _entries(cold)
+    assert warm.rng.bit_generator.state == cold.rng.bit_generator.state
+    # and both hold what new_rng(seed) draws, in the documented order
+    rng = new_rng(config.seed)
+    book = make_codebook(ModuliSet(config.moduli), config.dim, rng)
+    drawn = [book.tag] + [random_symbol(rng, config.dim) for _ in range(11)]
+    assert [row for _, _, row in _entries(cold)] == [v.tobytes() for v in drawn]
+    assert [name for name, _, _ in _entries(cold)] == [
+        "int", "t", "f", "nil", "#head", "#tail", "#params", "#body", "#env",
+        "#cons", "#lambda", "env-0",
+    ]
+    assert cold.rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_a_warm_session_prints_and_saves_what_a_cold_one_does():
+    config = Config(seed=202)
+    runs = []
+    for session in (_cold(config), Session(config)):
+        printed = list(session.eval_source(MIXED))
+        buf = io.BytesIO()
+        session.save(buf)
+        runs.append((printed, buf.getvalue(), session.rng.bit_generator.state))
+    # the second session's codebook came with the first one's tables and
+    # decode memo
+    assert runs[0] == runs[1]
+    assert runs[0][0] == ["sq", "49", "11", "xs", "a", "add", "8"]
+
+
+@pytest.mark.parametrize(
+    "change", [{"dim": 512}, {"moduli": (3, 5, 11)}, {"seed": 204}]
+)
+def test_another_key_in_between_rebuilds_the_start(change):
+    config = Config(seed=203)
+    first = Session(config)
+    assert Session(config).codebook is first.codebook
+    Session(replace(config, **change))
+    again = Session(config)
+    assert again.codebook is not first.codebook
+    assert _entries(again) == _entries(first)
+
+
+def test_theta_and_decode_share_the_start():
+    first = Session(Config(seed=205))
+    other = Session(Config(seed=205, theta=0.3, decode="exhaustive"))
+    assert other.codebook is first.codebook
+
+
+def test_each_thread_builds_its_own_start():
+    config = Config(seed=206)
+    here = Session(config)
+    there = []
+    thread = threading.Thread(target=lambda: there.append(Session(config)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert there[0].codebook is not here.codebook
+    assert _entries(there[0]) == _entries(here)
+    # the other thread's start did not replace this one's
+    assert Session(config).codebook is here.codebook
+
+
+def test_nothing_a_start_shares_can_be_written():
+    from phasorlisp.lisp import _start
+
+    config = Config(seed=207)
+    session = Session(config)
+    start = _start(config)
+    assert start.codebook is session.codebook
+    rows = [row for _, _, row in start.entries]
+    assert rows[0] is session.codebook.tag
+    # copies of their own, pinning no session's block of rows
+    assert all(row.base is None for row in rows)
+    for array in [session.codebook.phases, *rows]:
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_a_start_that_cannot_be_built_is_a_config_error_and_is_not_kept(
+    monkeypatch,
+):
+    import phasorlisp.lisp
+
+    config = Config(seed=208)
+    kept = Session(config).codebook
+
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(phasorlisp.lisp, "random_symbol", no_memory)
+    with pytest.raises(ConfigError):
+        Session(Config(seed=209))
+    monkeypatch.undo()
+    assert Session(config).codebook is kept
 
 
 # -- arithmetic --------------------------------------------------------
@@ -704,6 +859,18 @@ def test_print_list_chain(session):
     assert run(session, "(cons 1 (cons 2 nil))") == "(1 2)"
 
 
+def test_a_cell_that_is_its_own_tail_raises_instead_of_printing_forever(session):
+    pointer = random_symbol(new_rng(8), session.config.dim)
+    chunk = (
+        session._role("#cons")
+        + bind(session._role("#head"), session.symbol("a"))
+        + bind(session._role("#tail"), pointer)
+    )
+    session.memory.add_chunk("cell-0", pointer, chunk)
+    with _within(10), pytest.raises(EvalError, match="loops"):
+        session.print_value(pointer)
+
+
 def test_print_dotted_pair(session):
     assert run(session, "(cons (quote a) (quote b))") == "(a . b)"
 
@@ -885,6 +1052,24 @@ def test_restore_rejects_a_reference_to_a_missing_scope(session):
     data = data.replace(good, b"parent:env-1:env-9")
     with pytest.raises(SessionIOError):
         Session.restore(io.BytesIO(data))
+
+
+@pytest.mark.parametrize(
+    "entry", [b"symbol:t", b"pointer:cell-0", b"role:#tail", b"env:env-0"]
+)
+def test_restore_rejects_a_memory_row_that_is_not_a_unit_phasor(session, entry):
+    # 6.5e4 lies within float32 range; as a component of a stored row it
+    # wins every recall, and a cell whose tail reads as itself loops
+    run(session, "(define xs (quote (a b)))")
+    buf = io.BytesIO()
+    session.save(buf)
+    data = bytearray(buf.getvalue())
+    key = struct.pack("<I", len(entry)) + entry
+    assert data.count(key) == 1
+    at = data.index(key) + len(key)
+    data[at:at + 8] = struct.pack("<d", 6.5e4)
+    with _within(10), pytest.raises(SessionIOError, match="unit phasor"):
+        Session.restore(io.BytesIO(bytes(data)))
 
 
 def test_restore_rejects_a_pointer_without_its_chunk(session):

@@ -4,6 +4,7 @@
 phasorlisp, so a plan doubles as a reference transcript.
 """
 
+import dataclasses
 import functools
 import io
 import math
@@ -43,8 +44,10 @@ class Unmemoized(Session):
     """Resolves and decodes everything afresh, as without memos."""
 
     def _setup(self, config, codebook, rng):
-        super()._setup(config, codebook, rng)
-        codebook._decoded = _Forgetful()
+        # a private copy, with caches of its own: the codebook given may
+        # be the one every session of the thread shares
+        super()._setup(config, dataclasses.replace(codebook), rng)
+        self.codebook._decoded = _Forgetful()
 
     def _unbind_role(self, r, role):
         return self.resolve(unbind(self._chunk(r.name), self._role(role)))
@@ -107,8 +110,9 @@ class Float64Recall(Session):
 
 
 class SpineKept(Session):
-    """Keeps each form's own cells in memory as cell- entries of their
-    own, as sessions did before forms took the same spine cells again."""
+    """Stores each form's code as ``encode`` stores data, in cell- entries
+    of its own, where a session reuses the spine cells code-0, code-1, ...
+    in every form."""
 
     def _encode_code(self, expr):
         return self.encode(expr)
@@ -229,7 +233,7 @@ def test_complex64_scan_matches_a_float64_scan_at_dim_256():
 
 
 @pytest.mark.parametrize("sources, check", _CASES)
-def test_retiring_the_spine_leaves_transcripts_unchanged(sources, check):
+def test_reusing_spine_cells_leaves_transcripts_unchanged(sources, check):
     printed, _, checked = _reference(sources, check)[0]
     kept, kept_file, kept_checked = _run(SpineKept, sources, check)
     assert (kept, kept_checked) == (printed, checked)
