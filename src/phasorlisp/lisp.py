@@ -171,16 +171,84 @@ def _depth_guard(what: str) -> Iterator[None]:
         ) from None
 
 
+#: Rows per complex128 block of a draw source.  A block is never
+#: reallocated, so a row handed out keeps no dropped buffer alive.  Blocks
+#: rather than one copy per row: storing every row as its own array read
+#: 3-4% more peak RSS on the ``repl`` and ``lists`` benchmarks.
+_BLOCK_ROWS = 64
+
+
+class _DrawSource:
+    """The rows of one generator stream, by stream position, each drawn once.
+
+    Row p is the ``random_symbol`` that the generator in ``state`` makes
+    after p draws of ``dim`` doubles.  PCG64 spends one 64-bit output per
+    double, so the cursor reaches p from any position q <= p by
+    ``advance((p - q) * dim)``, and from ``state`` by ``advance(p * dim)``,
+    whatever positions were drawn or skipped before.  So a row is a pure
+    function of (state, dim, p), and every owner of the source reads the
+    same bytes at p.  A row is drawn under the lock, written into the
+    next free row of a block before it is published, and handed out
+    read-only; a position no owner asks for is never drawn, and takes no
+    room.  The source keeps every row it drew for as long as anything
+    holds it: a start keeps its key's source until the thread builds
+    another key's start, and every session keeps its own.
+    """
+
+    def __init__(self, rng: np.random.Generator, dim: int) -> None:
+        self.dim = dim
+        #: the generator's ``bit_generator.state`` at position 0
+        self.state = rng.bit_generator.state
+        #: the generator rows are drawn from, and its position, or None
+        #: while a draw is under way or after one failed
+        self._cursor = rng
+        self._at: int | None = 0
+        self._lock = threading.Lock()
+        #: position -> read-only row, for every position drawn so far
+        self._rows: dict[int, np.ndarray] = {}
+        #: the block rows are being written to, in the order they are
+        #: drawn, and its read-only view
+        self._block: np.ndarray | None = None
+        self._frozen: np.ndarray | None = None
+
+    def row(self, p: int) -> np.ndarray:
+        """The read-only row at stream position ``p``."""
+        row = self._rows.get(p)
+        if row is None:
+            with self._lock:
+                row = self._rows.get(p)
+                if row is None:
+                    row = self._draw(p)
+        return row
+
+    def _draw(self, p: int) -> np.ndarray:
+        cursor = self._cursor.bit_generator
+        at, self._at = self._at, None
+        if at is None or at > p:
+            cursor.state = self.state
+            at = 0
+        if at < p:
+            cursor.advance((p - at) * self.dim)
+        drawn = random_symbol(self._cursor, self.dim)
+        self._at = p + 1
+        i = len(self._rows) % _BLOCK_ROWS
+        if i == 0:
+            self._block = np.empty((_BLOCK_ROWS, self.dim), dtype=np.complex128)
+            self._frozen = self._block.view()
+            self._frozen.flags.writeable = False
+        self._block[i] = drawn
+        row = self._rows[p] = self._frozen[i]
+        return row
+
+
 @dataclass(frozen=True, eq=False)
 class _Start:
     """What a session's (dim, moduli, seed) fixes before any form runs."""
 
     key: tuple[int, tuple[int, ...], int]
     codebook: ResidueCodebook
-    #: (name, kind, read-only row) of each bootstrap entry, ``int`` first
-    entries: tuple[tuple[str, str, np.ndarray], ...]
-    #: the generator's ``bit_generator.state`` after drawing them
-    state: dict
+    #: the stream after the codebook, its bootstrap rows at 0-10 drawn
+    draws: _DrawSource
 
 
 #: the last start built in each thread; see ``Session``
@@ -194,12 +262,11 @@ def _start(config: Config) -> _Start:
     if start is None or start.key != key:
         rng = new_rng(config.seed)
         codebook = make_codebook(ModuliSet(config.moduli), config.dim, rng)
-        entries = [(_INT_NAME, "symbol", codebook.tag)]
-        for name, kind in _DRAWN:
-            row = random_symbol(rng, config.dim)
-            row.flags.writeable = False
-            entries.append((name, kind, row))
-        start = _Start(key, codebook, tuple(entries), rng.bit_generator.state)
+        draws = _DrawSource(rng, config.dim)
+        # drawn here, so that a start whose rows cannot be drawn is not kept
+        for p in range(len(_DRAWN)):
+            draws.row(p)
+        start = _Start(key, codebook, draws)
         _starts.last = start
     return start
 
@@ -212,33 +279,39 @@ class Session:
     roles and runtime values read as.
 
     A session's start is fixed by its key (dim, moduli, seed): the
-    codebook, then the 12 bootstrap entries (the integer tag as ``int``,
+    codebook, drawn from ``new_rng(seed)``, and the draw source of the
+    stream that follows it.  Each thread builds a key's start once and
+    keeps the last one it built; a session of another key replaces it.
+    Every session is built from its key's start and shares its codebook,
+    with the class tables, factor books and decode memo its earlier
+    sessions built, and its draw source, with every row they drew.
+
+    Every fresh vector a session stores (a symbol, a pointer, a scope
+    handle, a bootstrap entry) is the source's row at the session's draw
+    counter, which then moves on by one; a spine cell that a form takes
+    again moves it on too, as the draw it skips.  The 12 bootstrap
+    entries are the integer tag as ``int`` and then, at positions 0-10,
     the boolean and nil constants, the chunk roles and tags, and the
-    global scope handle), drawn from ``new_rng(seed)`` in that order, and
-    the generator's state after them.  Each thread builds a key's start
-    once and keeps the last one it built; a session of another key
-    replaces it.  Every session is built from its key's start: a fresh
-    ``new_rng(seed)`` takes the saved state, memory gets the rows, and the
-    codebook object is shared, with the class tables, factor books and
-    decode memo its earlier sessions built.  That is exact.  The codebook
-    and the rows are drawn in a fixed order, so they are a pure function
-    of the key; the restored state makes every later draw the one a cold
-    session makes; the codebook's caches are pure functions of its phase
+    global scope handle.  That is exact.  The codebook is a pure function
+    of the key, and a row of the key's source a pure function of the key
+    and its position, so every vector a session stores is the one a cold
+    session stores; the codebook's caches are pure functions of its phase
     tables; and a decode reading is a pure function of (method, dtype,
-    bytes), because restarts use fixed seeds.  So every vector, transcript
-    and saved byte equals a cold session's.  ``theta`` and ``decode``
-    enter neither the codebook nor the rows.  Nothing shared can be
-    written: the phase tables, the tag and the rows are read-only.
+    bytes), because restarts use fixed seeds.  So every vector,
+    transcript and saved byte equals a cold session's.  ``theta`` and
+    ``decode`` enter neither the codebook nor the rows.  Nothing shared
+    can be written: the phase tables, the tag and the rows are read-only,
+    and memory keeps a read-only row by reference, so the sessions of a
+    key hold one copy of each row.  A restored session draws through a
+    source of its own (see ``restore``).
     """
 
     def __init__(self, config: Config | None = None) -> None:
         config = config if config is not None else Config()
         try:
             start = _start(config)
-            rng = new_rng(config.seed)
-            rng.bit_generator.state = start.state
-            self._setup(config, start.codebook, rng)
-            self._bootstrap(start)
+            self._setup(config, start.codebook, start.draws)
+            self._bootstrap()
         except MemoryError:
             raise ConfigError(
                 f"a session at dimension {config.dim} needs more memory than "
@@ -248,13 +321,16 @@ class Session:
     # -- construction ---------------------------------------------------
 
     def _setup(
-        self, config: Config, codebook: ResidueCodebook, rng: np.random.Generator
+        self, config: Config, codebook: ResidueCodebook, draws: _DrawSource
     ) -> None:
         """Fields shared by a fresh and a restored session, memory empty."""
         self.config = config
         self.moduli = codebook.moduli
-        self.rng = rng
         self.codebook = codebook
+        #: the stream every fresh vector comes from, and the position of
+        #: the next one
+        self._draws = draws
+        self._drawn = 0
         self.memory = CleanupMemory(config.dim)
         self.environments: dict[str, Environment] = {}
         self.display_raw = False
@@ -272,15 +348,22 @@ class Session:
         #: _resolve_value
         self._values: dict[bytes, tuple[Resolved, int]] = {}
 
-    def _bootstrap(self, start: _Start) -> None:
-        for name, kind, row in start.entries:
-            self.memory.add(name, row, kind=kind)
+    def _bootstrap(self) -> None:
+        self.memory.add(_INT_NAME, self.codebook.tag)
+        for name, kind in _DRAWN:
+            self._mint(name, kind)
         self.global_env = self.environments[_GLOBAL] = Environment()
         self.global_env.handle = _GLOBAL
 
+    def _draw(self) -> np.ndarray:
+        """The next fresh random vector of the session's stream, read-only."""
+        row = self._draws.row(self._drawn)
+        self._drawn += 1
+        return row
+
     def _mint(self, name: str, kind: str) -> None:
         """Store a fresh random vector under ``name``."""
-        self.memory.add(name, random_symbol(self.rng, self.config.dim), kind=kind)
+        self.memory.add(name, self._draw(), kind=kind)
 
     def _next_name(self, prefix: str) -> str:
         """Lowest free ``<prefix>-<n>``, past any stored entry of that name
@@ -367,30 +450,25 @@ class Session:
             pointer = self._spine_pointer(name)
             self._spine[name] = composite
         else:
-            pointer = random_symbol(self.rng, self.config.dim)
+            pointer = self._draw()
             self.memory.add_chunk(name, pointer, composite)
         return pointer
 
     def _spine_pointer(self, name: str) -> np.ndarray:
         """The read-only pointer of spine cell ``name``: its memory row.
 
-        The first form that needs ``name`` draws its pointer from the
-        session's generator, as any other pointer is drawn, and stores it
-        for good; every later form reuses the row and advances the
-        generator past the draw it skips (PCG64 spends one 64-bit output
-        per double, and the session draws only doubles once its codebook
-        is made).  So the generator's stream, and every vector a value
-        keeps, is what it would be with a fresh draw per cell, and a
-        sub-form that repeats an earlier one at the same cell numbers
-        rebuilds its chunks bit for bit.  A restored session holds no
-        spine cell.
+        The first form that needs ``name`` draws its pointer, as any other
+        pointer is drawn, and stores it for good; every later form reuses
+        the row and skips the stream position a fresh draw would take.
+        So the draw counter, and every vector a value keeps, is what it
+        would be with a fresh draw per cell, and a sub-form that repeats
+        an earlier one at the same cell numbers rebuilds its chunks bit
+        for bit.  A restored session holds no spine cell.
         """
         if name in self._spine:
-            self.rng.bit_generator.advance(self.config.dim)
+            self._drawn += 1
         else:
-            self.memory.add(
-                name, random_symbol(self.rng, self.config.dim), kind="pointer"
-            )
+            self._mint(name, "pointer")
         return self.memory.vector(name)
 
     def encode(self, expr: SExpr) -> np.ndarray:
@@ -417,7 +495,7 @@ class Session:
         returns its symbol and no primitive returns code.  So the next
         form numbers its cells from 0 again and takes the same entries
         with chunks of its own.  Special forms are known by their head's
-        name alone, so the split is exact.  The generator is drawn in the
+        name alone, so the split is exact.  The stream is drawn in the
         order ``encode`` draws it (see ``_spine_pointer``), so a sub-form
         that repeats an earlier form's at the same cell numbers is rebuilt
         bit for bit, and so are the readings of its parts.
@@ -900,13 +978,14 @@ class Session:
     ) -> "Session":
         """Reopen a saved session.
 
-        The file's dimension and moduli override the passed config; the
-        generator is reseeded on a stream derived from the seed and the
-        restored entry count so freshly minted symbols cannot replay
-        vectors the saved session already used.  Entries are applied in
-        one pass, in the order ``save`` writes them: an entry that names a
-        pointer or scope the file has not yet stored raises
-        ``SessionIOError``.  So does a memory row that is not a unit
+        The file's dimension and moduli override the passed config.  The
+        session draws its fresh vectors through a source of its own, on
+        the stream of ``default_rng((seed, count))`` for the file's entry
+        count, so freshly minted symbols cannot replay vectors the saved
+        session already used; a file restored twice draws the same rows.
+        Entries are applied in one pass, in the order ``save`` writes
+        them: an entry that names a pointer or scope the file has not yet
+        stored raises ``SessionIOError``.  So does a memory row that is not a unit
         phasor: every row a session stores is drawn by ``random_symbol``,
         and one with a large component would win every recall.
         """
@@ -918,7 +997,8 @@ class Session:
         cfg = replace(base, dim=codebook.dim, moduli=tuple(codebook.moduli))
         (count,) = struct.unpack("<I", read_exact(src, 4))
         sess = cls.__new__(cls)
-        sess._setup(cfg, codebook, np.random.default_rng((cfg.seed, count)))
+        draws = _DrawSource(np.random.default_rng((cfg.seed, count)), cfg.dim)
+        sess._setup(cfg, codebook, draws)
         envs = sess.environments
         try:
             for _ in range(count):

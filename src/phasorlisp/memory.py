@@ -29,12 +29,6 @@ from .fhrr import FLOOR, similarity
 
 __all__ = ["RecallResult", "CleanupMemory", "Environment"]
 
-#: Rows per complex128 block.  A block is never reallocated, so a row
-#: handed out by ``vector`` or ``recall`` keeps no dropped buffer alive.
-#: Blocks rather than one copy per row: storing every row as its own
-#: array read 3-4% more peak RSS on the ``repl`` and ``lists`` benchmarks.
-_BLOCK_ROWS = 64
-
 #: Unit roundoffs of float32 and float64: 2**-24 and 2**-53.
 _U32 = float(np.finfo(np.float32).eps) / 2
 _U64 = float(np.finfo(np.float64).eps) / 2
@@ -84,11 +78,14 @@ class CleanupMemory:
 
     One index maps each name to its scan row, and the row's name, kind
     and complex128 vector sit at that position in three lists.  Vectors
-    are stored in fixed blocks of ``_BLOCK_ROWS`` and handed out
-    read-only, so a vector kept by a caller pins no dropped buffer.  The
-    scan matrix holds each vector's conjugate rounded to complex64, in
-    the order the rows came; it grows by doubling, and no view of it
-    leaves the memory.
+    are handed out read-only.  A read-only complex128 vector is kept by
+    reference, so a row stored in many memories, as the sessions of one
+    key store the rows their draw source drew, is held once; its owner
+    must never write it.  Any other vector is copied once, and the copy
+    is made read-only.  No stored vector is ever moved, so one kept by a
+    caller pins no dropped buffer.  The scan matrix holds each vector's
+    conjugate rounded to complex64, in the order the rows came; it grows
+    by doubling, and no view of it leaves the memory.
 
     Every scan is ``_best``, against a bar b: the first-half leader's
     score for ``recall``, the score of the reading a memo checks for
@@ -144,11 +141,9 @@ class CleanupMemory:
         self._kinds: list[str] = []
         self._rows: list[np.ndarray] = []
         self._chunks: dict[str, np.ndarray] = {}
-        #: the block rows are being written to, and its read-only view
-        self._block: np.ndarray | None = None
-        self._frozen: np.ndarray | None = None
-        # rows past the stored ones are never read, so no buffer is zeroed
-        self._scan = np.empty((_BLOCK_ROWS, dim), dtype=np.complex64)
+        # room for 64 rows at first; rows past the stored ones are never
+        # read, so no buffer is zeroed
+        self._scan = np.empty((64, dim), dtype=np.complex64)
         #: largest 2-norm stored of a whole row and of the columns from
         #: ``_half`` on; rows need not be unit phasors
         self._max_norm = self._max_tail = 0.0
@@ -190,8 +185,10 @@ class CleanupMemory:
     def add(self, name: str, v: np.ndarray, kind: str = "symbol") -> None:
         """Store ``v`` under ``name``; a duplicate name raises ValueError.
 
-        A vector of the wrong length, or with a component that is not
-        finite or lies beyond float32 range (see ``storable``), raises
+        A read-only complex128 ``v`` is kept by reference, and its owner
+        must never write it; any other is copied once.  A vector of the
+        wrong length, or with a component that is not finite or lies
+        beyond float32 range (see ``storable``), raises
         ``DimensionError``; nothing is written then.
         """
         if v.shape[0] != self.dim:
@@ -212,14 +209,12 @@ class CleanupMemory:
             grown = np.empty((2 * i, self.dim), dtype=np.complex64)
             grown[:i] = self._scan
             self._scan = grown
-        if i % _BLOCK_ROWS == 0:
-            self._block = np.empty((_BLOCK_ROWS, self.dim), dtype=np.complex128)
-            self._frozen = self._block.view()
-            self._frozen.flags.writeable = False
-        self._block[i % _BLOCK_ROWS] = v
+        if v.flags.writeable or v.dtype != np.complex128:
+            v = v.astype(np.complex128)
+            v.flags.writeable = False
         self._names.append(name)
         self._kinds.append(kind)
-        self._rows.append(self._frozen[i % _BLOCK_ROWS])
+        self._rows.append(v)
         self._index[name] = i
         scan_row = self._scan[i]
         scan_row[:] = v

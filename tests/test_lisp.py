@@ -2,10 +2,12 @@ import io
 import math
 import signal
 import struct
+import sys
 import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from phasorlisp import (
     ModuliSet,
     NoInverseError,
     NotApplicableError,
+    PhasorError,
     RecursionDepthError,
     Session,
     SessionIOError,
@@ -27,6 +30,7 @@ from phasorlisp import (
     bind,
     decode_residue,
     encode_residue,
+    load_codebook,
     make_codebook,
     new_rng,
     normalize,
@@ -39,6 +43,10 @@ from phasorlisp import (
 from phasorlisp.lisp import PRIMITIVES
 
 from oracles import inverse_mod
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 
 def run(session, source):
@@ -423,18 +431,22 @@ def test_a_warm_start_gives_the_entries_and_state_a_cold_one_does():
     cold = _cold(config)
     warm = Session(config)
     assert warm.codebook is cold.codebook
+    assert warm._draws is cold._draws
     assert _entries(warm) == _entries(cold)
-    assert warm.rng.bit_generator.state == cold.rng.bit_generator.state
+    # both drew positions 0-10 of the stream, and hold those very rows
+    assert warm._drawn == cold._drawn == 11
+    names = warm.memory.names()
+    assert all(warm.memory.vector(n) is cold.memory.vector(n) for n in names)
     # and both hold what new_rng(seed) draws, in the documented order
     rng = new_rng(config.seed)
     book = make_codebook(ModuliSet(config.moduli), config.dim, rng)
+    assert cold._draws.state == rng.bit_generator.state
     drawn = [book.tag] + [random_symbol(rng, config.dim) for _ in range(11)]
     assert [row for _, _, row in _entries(cold)] == [v.tobytes() for v in drawn]
-    assert [name for name, _, _ in _entries(cold)] == [
+    assert names == [
         "int", "t", "f", "nil", "#head", "#tail", "#params", "#body", "#env",
         "#cons", "#lambda", "env-0",
     ]
-    assert cold.rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_a_warm_session_prints_and_saves_what_a_cold_one_does():
@@ -444,7 +456,7 @@ def test_a_warm_session_prints_and_saves_what_a_cold_one_does():
         printed = list(session.eval_source(MIXED))
         buf = io.BytesIO()
         session.save(buf)
-        runs.append((printed, buf.getvalue(), session.rng.bit_generator.state))
+        runs.append((printed, buf.getvalue(), session._drawn, _entries(session)))
     # the second session's codebook came with the first one's tables and
     # decode memo
     assert runs[0] == runs[1]
@@ -491,10 +503,11 @@ def test_nothing_a_start_shares_can_be_written():
     session = Session(config)
     start = _start(config)
     assert start.codebook is session.codebook
-    rows = [row for _, _, row in start.entries]
+    assert start.draws is session._draws
+    rows = [session.memory.vector(name) for name in session.memory.names()]
     assert rows[0] is session.codebook.tag
-    # copies of their own, pinning no session's block of rows
-    assert all(row.base is None for row in rows)
+    # memory holds the start's rows themselves, not copies of them
+    assert all(rows[1 + p] is start.draws.row(p) for p in range(11))
     for array in [session.codebook.phases, *rows]:
         with pytest.raises(ValueError):
             array[0] = 0
@@ -516,6 +529,117 @@ def test_a_start_that_cannot_be_built_is_a_config_error_and_is_not_kept(
         Session(Config(seed=209))
     monkeypatch.undo()
     assert Session(config).codebook is kept
+
+
+# -- the draw source ---------------------------------------------------
+
+
+def _lists_transcript(session, plan):
+    """What ``session`` prints for each form of ``plan``, and its save."""
+    printed = []
+    for form in plan.forms:
+        try:
+            printed.extend(session.eval_source(form.source))
+        except PhasorError as exc:
+            printed.append(type(exc).__name__)
+    buf = io.BytesIO()
+    session.save(buf)
+    return printed, buf.getvalue()
+
+
+@pytest.mark.parametrize("dim", [16, 1000])
+def test_every_row_a_session_draws_is_its_streams_row_at_that_position(dim):
+    config = Config(dim=dim, seed=210)
+    session = _cold(config)
+    _lists_transcript(session, WORKLOADS["lists"].plan(1, 0))
+    rows = session._draws._rows
+    # a reused spine cell skips its position: every other entry but int
+    # was drawn once, and no position was drawn that nothing stored
+    assert len(rows) == len(session.memory) - 1
+    assert set(rows) <= set(range(session._drawn))
+    # position p is the p-th symbol new_rng(seed) draws after the codebook
+    rng = new_rng(config.seed)
+    make_codebook(ModuliSet(config.moduli), dim, rng)
+    for p in range(session._drawn):
+        expected = random_symbol(rng, dim)
+        if p in rows:
+            assert rows[p].tobytes() == expected.tobytes()
+
+
+def test_sessions_sharing_a_source_in_threads_print_what_cold_ones_do():
+    config = Config(seed=211)
+    plans = [WORKLOADS["lists"].plan(1, i) for i in range(3)]
+    expected = [_lists_transcript(_cold(config), plan) for plan in plans]
+    # built in this thread from one start, whose source holds only the
+    # bootstrap rows, so three threads that switch often draw every later
+    # position afresh
+    sessions = [_cold(config)] + [Session(config) for _ in plans[1:]]
+    assert all(s._draws is sessions[0]._draws for s in sessions)
+    barrier = threading.Barrier(len(plans))
+    results = [None] * len(plans)
+
+    def drive(i):
+        barrier.wait(timeout=60)
+        results[i] = _lists_transcript(sessions[i], plans[i])
+
+    threads = [
+        threading.Thread(target=drive, args=(i,)) for i in range(len(plans))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+
+
+def test_another_keys_start_frees_the_old_rows_once_no_session_holds_them():
+    import gc
+    import weakref
+
+    from phasorlisp.lisp import _start
+
+    config = Config(seed=212)
+    session = Session(config)
+    block = weakref.ref(_start(config).draws._block)
+    Session(replace(config, seed=213))
+    gc.collect()
+    assert block() is not None  # the session's memory holds its rows
+    del session
+    gc.collect()
+    assert block() is None
+
+
+def test_a_restored_session_draws_from_a_source_of_its_own():
+    config = Config(seed=214)
+    session = Session(config)
+    list(session.eval_source("(define xs (quote (a b)))"))
+    buf = io.BytesIO()
+    session.save(buf)
+    data = buf.getvalue()
+    src = io.BytesIO(data)
+    load_codebook(src)
+    (count,) = struct.unpack("<I", src.read(4))
+    runs = []
+    for _ in range(2):
+        other = Session.restore(io.BytesIO(data), config)
+        assert other._draws is not session._draws
+        stored = len(other.memory)
+        assert list(other.eval_source("(define ys (cons (quote c) xs))")) == ["ys"]
+        new = other.memory.names()[stored:]
+        assert len(new) == other._drawn > 0
+        runs.append(_entries(other))
+    # restoring twice gives the same rows: those default_rng((seed, count))
+    # draws from its start, one per new entry
+    assert runs[0] == runs[1]
+    rng = np.random.default_rng((config.seed, count))
+    drawn = [random_symbol(rng, config.dim).tobytes() for _ in new]
+    assert [row for _, _, row in runs[0][stored:]] == drawn
 
 
 # -- arithmetic --------------------------------------------------------

@@ -43,10 +43,10 @@ class _Forgetful(dict):
 class Unmemoized(Session):
     """Resolves and decodes everything afresh, as without memos."""
 
-    def _setup(self, config, codebook, rng):
+    def _setup(self, config, codebook, draws):
         # a private copy, with caches of its own: the codebook given may
         # be the one every session of the thread shares
-        super()._setup(config, dataclasses.replace(codebook), rng)
+        super()._setup(config, dataclasses.replace(codebook), draws)
         self.codebook._decoded = _Forgetful()
 
     def _unbind_role(self, r, role):
@@ -104,8 +104,8 @@ class Float64Memory(CleanupMemory):
 class Float64Recall(Session):
     """A session whose memory scans in float64 only."""
 
-    def _setup(self, config, codebook, rng):
-        super()._setup(config, codebook, rng)
+    def _setup(self, config, codebook, draws):
+        super()._setup(config, codebook, draws)
         self.memory = Float64Memory(config.dim)
 
 
@@ -119,16 +119,19 @@ class SpineKept(Session):
 
 
 class FreshSpine(Session):
-    """Draws, and discards, a fresh vector for each spine cell a form
-    takes again, where a session advances its generator past that draw."""
+    """Draws a fresh vector for every spine cell, from a generator of its
+    own set to the session's stream position, where a session takes the
+    row of its draw source; it discards the vector of a cell a form takes
+    again, where a session skips that position."""
 
     def _spine_pointer(self, name):
-        if name in self._spine:
-            random_symbol(self.rng, self.config.dim)
-        else:
-            self.memory.add(
-                name, random_symbol(self.rng, self.config.dim), kind="pointer"
-            )
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = self._draws.state
+        rng.bit_generator.advance(self._drawn * self.config.dim)
+        pointer = random_symbol(rng, self.config.dim)
+        self._drawn += 1
+        if name not in self._spine:
+            self.memory.add(name, pointer, kind="pointer")
         return self.memory.vector(name)
 
 
@@ -268,7 +271,7 @@ def test_a_spine_hit_reads_its_cell_from_the_current_chunk():
 
 @pytest.mark.parametrize("sources, check", _CASES)
 def test_pooled_spine_pointers_leave_sessions_unchanged(sources, check):
-    # The pool advances the generator past each draw it skips, so every
+    # The pool skips the stream position of each draw it saves, so every
     # vector that outlives a form, and so every saved byte, is as before.
     assert _reference(sources, check)[0] == _run(FreshSpine, sources, check)
 
