@@ -99,6 +99,14 @@ _SPINE = "code"
 #: drawn row's components lie within a few float64 ulps of it.
 _UNIT_TOL = 1e-9
 
+#: Entry prefix -> most a restored vector's component may reach in
+#: modulus, past ``_UNIT_TOL``.  A value a session binds is a unit row, or
+#: an integer code (a unit row) plus the unit tag: at most 2.  A chunk is
+#: the unit tag plus one role binding per part, and at most two of its
+#: fillers are values that are not unit rows (both parts of ``(cons 1 2)``,
+#: the body of ``(lambda (x) 5)``): at most 1 + 2 + 2 = 5.
+_MODULUS_BOUND = {"bind": 2.0, "chunk": 5.0}
+
 #: Most runtime values one session keeps resolved; the least recently used
 #: goes first.  A key is a whole vector's bytes (16 KB at dim 1000).
 VALUE_MEMO_SIZE = 64
@@ -171,38 +179,38 @@ def _depth_guard(what: str) -> Iterator[None]:
         ) from None
 
 
-#: Rows per complex128 block of a draw source.  A block is never
-#: reallocated, so a row handed out keeps no dropped buffer alive.  Blocks
-#: rather than one copy per row: storing every row as its own array read
-#: 3-4% more peak RSS on the ``repl`` and ``lists`` benchmarks.
+#: Rows per complex128 block of a stream.  A block is never reallocated,
+#: so a row handed out keeps no dropped buffer alive.  Blocks rather than
+#: one copy per row: storing every row as its own array read 3-4% more
+#: peak RSS on the ``repl`` and ``lists`` benchmarks.
 _BLOCK_ROWS = 64
 
 
-class _DrawSource:
-    """The rows of one generator stream, by stream position, each drawn once.
+class _Stream:
+    """A session's codebook and the rows of the generator stream after it,
+    by stream position, each drawn once.
 
     Row p is the ``random_symbol`` that the generator in ``state`` makes
     after p draws of ``dim`` doubles.  PCG64 spends one 64-bit output per
-    double, so the cursor reaches p from any position q <= p by
-    ``advance((p - q) * dim)``, and from ``state`` by ``advance(p * dim)``,
-    whatever positions were drawn or skipped before.  So a row is a pure
-    function of (state, dim, p), and every owner of the source reads the
-    same bytes at p.  A row is drawn under the lock, written into the
-    next free row of a block before it is published, and handed out
-    read-only; a position no owner asks for is never drawn, and takes no
-    room.  The source keeps every row it drew for as long as anything
-    holds it: a start keeps its key's source until the thread builds
-    another key's start, and every session keeps its own.
+    double, so ``advance(p * dim)`` from ``state`` reaches p, whatever
+    positions were drawn or skipped before: a row is a pure function of
+    (state, dim, p), and every owner of the stream reads the same bytes
+    at p.  A missing row is drawn under the lock, from the generator set
+    to ``state`` and advanced to p, which costs a small part of the draw
+    itself; it is written into the next free row of a block before it is
+    published, and handed out read-only, and a draw that fails stores
+    nothing.  A position no owner asks for is never drawn, and takes no
+    room.  The stream keeps every row it drew for as long as anything
+    holds it: a thread keeps the stream of its last fresh session's key
+    (see ``_start``), and every session keeps its own.
     """
 
-    def __init__(self, rng: np.random.Generator, dim: int) -> None:
-        self.dim = dim
+    def __init__(self, codebook: ResidueCodebook, rng: np.random.Generator) -> None:
+        self.codebook = codebook
+        self.dim = codebook.dim
         #: the generator's ``bit_generator.state`` at position 0
         self.state = rng.bit_generator.state
-        #: the generator rows are drawn from, and its position, or None
-        #: while a draw is under way or after one failed
-        self._cursor = rng
-        self._at: int | None = 0
+        self._rng = rng
         self._lock = threading.Lock()
         #: position -> read-only row, for every position drawn so far
         self._rows: dict[int, np.ndarray] = {}
@@ -214,61 +222,44 @@ class _DrawSource:
     def row(self, p: int) -> np.ndarray:
         """The read-only row at stream position ``p``."""
         row = self._rows.get(p)
-        if row is None:
-            with self._lock:
-                row = self._rows.get(p)
-                if row is None:
-                    row = self._draw(p)
-        return row
-
-    def _draw(self, p: int) -> np.ndarray:
-        cursor = self._cursor.bit_generator
-        at, self._at = self._at, None
-        if at is None or at > p:
-            cursor.state = self.state
-            at = 0
-        if at < p:
-            cursor.advance((p - at) * self.dim)
-        drawn = random_symbol(self._cursor, self.dim)
-        self._at = p + 1
-        i = len(self._rows) % _BLOCK_ROWS
-        if i == 0:
-            self._block = np.empty((_BLOCK_ROWS, self.dim), dtype=np.complex128)
-            self._frozen = self._block.view()
-            self._frozen.flags.writeable = False
-        self._block[i] = drawn
-        row = self._rows[p] = self._frozen[i]
+        if row is not None:
+            return row
+        with self._lock:
+            row = self._rows.get(p)
+            if row is None:
+                bits = self._rng.bit_generator
+                bits.state = self.state
+                bits.advance(p * self.dim)
+                drawn = random_symbol(self._rng, self.dim)
+                i = len(self._rows) % _BLOCK_ROWS
+                if i == 0:
+                    shape = (_BLOCK_ROWS, self.dim)
+                    self._block = np.empty(shape, dtype=np.complex128)
+                    self._frozen = self._block.view()
+                    self._frozen.flags.writeable = False
+                self._block[i] = drawn
+                row = self._rows[p] = self._frozen[i]
         return row
 
 
-@dataclass(frozen=True, eq=False)
-class _Start:
-    """What a session's (dim, moduli, seed) fixes before any form runs."""
-
-    key: tuple[int, tuple[int, ...], int]
-    codebook: ResidueCodebook
-    #: the stream after the codebook, its bootstrap rows at 0-10 drawn
-    draws: _DrawSource
+#: each thread's (key, stream) of the last fresh session it built; see
+#: ``Session``
+_streams = threading.local()
 
 
-#: the last start built in each thread; see ``Session``
-_starts = threading.local()
-
-
-def _start(config: Config) -> _Start:
-    """This thread's start for ``config``, built if its key is new."""
+def _start(config: Config) -> _Stream:
+    """This thread's stream for ``config``, built if its key is new."""
     key = (config.dim, config.moduli, config.seed)
-    start = getattr(_starts, "last", None)
-    if start is None or start.key != key:
-        rng = new_rng(config.seed)
-        codebook = make_codebook(ModuliSet(config.moduli), config.dim, rng)
-        draws = _DrawSource(rng, config.dim)
-        # drawn here, so that a start whose rows cannot be drawn is not kept
-        for p in range(len(_DRAWN)):
-            draws.row(p)
-        start = _Start(key, codebook, draws)
-        _starts.last = start
-    return start
+    last = getattr(_streams, "last", None)
+    if last is not None and last[0] == key:
+        return last[1]
+    rng = new_rng(config.seed)
+    stream = _Stream(make_codebook(ModuliSet(config.moduli), config.dim, rng), rng)
+    # drawn here, so that a stream whose rows cannot be drawn is not kept
+    for p in range(len(_DRAWN)):
+        stream.row(p)
+    _streams.last = key, stream
+    return stream
 
 
 class Session:
@@ -278,22 +269,23 @@ class Session:
     environment frames, the chunk inventory, and the memos of what chunk
     roles and runtime values read as.
 
-    A session's start is fixed by its key (dim, moduli, seed): the
-    codebook, drawn from ``new_rng(seed)``, and the draw source of the
-    stream that follows it.  Each thread builds a key's start once and
-    keeps the last one it built; a session of another key replaces it.
-    Every session is built from its key's start and shares its codebook,
-    with the class tables, factor books and decode memo its earlier
-    sessions built, and its draw source, with every row they drew.
+    A session is built by ``_setup`` from a ``_Stream``: a codebook and
+    the rows of the generator stream after it.  A fresh session's stream
+    is fixed by its key (dim, moduli, seed), its codebook drawn from
+    ``new_rng(seed)``.  Each thread builds a key's stream once and keeps
+    the last one it built; a session of another key replaces it.  So
+    every fresh session of a key shares its codebook, with the class
+    tables, factor books and decode memo its earlier sessions built, and
+    every row they drew.  A restored session has a stream of its own.
 
     Every fresh vector a session stores (a symbol, a pointer, a scope
-    handle, a bootstrap entry) is the source's row at the session's draw
+    handle, a bootstrap entry) is the stream's row at the session's draw
     counter, which then moves on by one; a spine cell that a form takes
     again moves it on too, as the draw it skips.  The 12 bootstrap
     entries are the integer tag as ``int`` and then, at positions 0-10,
     the boolean and nil constants, the chunk roles and tags, and the
     global scope handle.  That is exact.  The codebook is a pure function
-    of the key, and a row of the key's source a pure function of the key
+    of the key, and a row of the key's stream a pure function of the key
     and its position, so every vector a session stores is the one a cold
     session stores; the codebook's caches are pure functions of its phase
     tables; and a decode reading is a pure function of (method, dtype,
@@ -302,15 +294,13 @@ class Session:
     ``decode`` enter neither the codebook nor the rows.  Nothing shared
     can be written: the phase tables, the tag and the rows are read-only,
     and memory keeps a read-only row by reference, so the sessions of a
-    key hold one copy of each row.  A restored session draws through a
-    source of its own (see ``restore``).
+    key hold one copy of each row.
     """
 
     def __init__(self, config: Config | None = None) -> None:
         config = config if config is not None else Config()
         try:
-            start = _start(config)
-            self._setup(config, start.codebook, start.draws)
+            self._setup(config, _start(config))
             self._bootstrap()
         except MemoryError:
             raise ConfigError(
@@ -320,16 +310,14 @@ class Session:
 
     # -- construction ---------------------------------------------------
 
-    def _setup(
-        self, config: Config, codebook: ResidueCodebook, draws: _DrawSource
-    ) -> None:
-        """Fields shared by a fresh and a restored session, memory empty."""
+    def _setup(self, config: Config, stream: _Stream) -> None:
+        """A fresh or restored session's fields, memory empty."""
         self.config = config
-        self.moduli = codebook.moduli
-        self.codebook = codebook
+        self.codebook = stream.codebook
+        self.moduli = self.codebook.moduli
         #: the stream every fresh vector comes from, and the position of
         #: the next one
-        self._draws = draws
+        self._stream = stream
         self._drawn = 0
         self.memory = CleanupMemory(config.dim)
         self.environments: dict[str, Environment] = {}
@@ -357,7 +345,7 @@ class Session:
 
     def _draw(self) -> np.ndarray:
         """The next fresh random vector of the session's stream, read-only."""
-        row = self._draws.row(self._drawn)
+        row = self._stream.row(self._drawn)
         self._drawn += 1
         return row
 
@@ -979,15 +967,23 @@ class Session:
         """Reopen a saved session.
 
         The file's dimension and moduli override the passed config.  The
-        session draws its fresh vectors through a source of its own, on
-        the stream of ``default_rng((seed, count))`` for the file's entry
-        count, so freshly minted symbols cannot replay vectors the saved
-        session already used; a file restored twice draws the same rows.
-        Entries are applied in one pass, in the order ``save`` writes
-        them: an entry that names a pointer or scope the file has not yet
-        stored raises ``SessionIOError``.  So does a memory row that is not a unit
-        phasor: every row a session stores is drawn by ``random_symbol``,
-        and one with a large component would win every recall.
+        session is built by ``_setup``, as a fresh one is, from a stream of
+        its own: the file's codebook and the generator
+        ``default_rng((seed, count))`` for the file's entry count, so
+        freshly minted symbols cannot replay vectors the saved session
+        already used; a file restored twice draws the same rows.  Entries
+        are applied in one pass, in the order ``save`` writes them: an
+        entry that names a pointer or scope the file has not yet stored
+        raises ``SessionIOError``.  So does a memory row that is not a
+        unit phasor: every row a session stores is drawn by
+        ``random_symbol``, and one with a large component would win every
+        recall.  So does a ``bind:`` vector with a component beyond
+        modulus 2, or a ``chunk:`` vector with one beyond 5 (see
+        ``_MODULUS_BOUND``): no session binds or stores such a vector, and
+        one would read as another value or overflow a float32 score.  A
+        ``parent:`` entry is read by its name alone; its vector is never
+        used, so it has no bound.  A file that lacks one of the 12
+        bootstrap entries, or holds one as another kind, raises too.
         """
         if isinstance(src, (str, Path)):
             with open(src, "rb") as fh:
@@ -997,8 +993,7 @@ class Session:
         cfg = replace(base, dim=codebook.dim, moduli=tuple(codebook.moduli))
         (count,) = struct.unpack("<I", read_exact(src, 4))
         sess = cls.__new__(cls)
-        draws = _DrawSource(np.random.default_rng((cfg.seed, count)), cfg.dim)
-        sess._setup(cfg, codebook, draws)
+        sess._setup(cfg, _Stream(codebook, np.random.default_rng((cfg.seed, count))))
         envs = sess.environments
         try:
             for _ in range(count):
@@ -1006,6 +1001,12 @@ class Session:
                 name = read_exact(src, name_len).decode("utf-8")
                 vec = read_vector(src, cfg.dim)
                 prefix, _, rest = name.partition(":")
+                bound = _MODULUS_BOUND.get(prefix)
+                if bound is not None and not np.abs(vec).max() <= bound + _UNIT_TOL:
+                    raise SessionIOError(
+                        f"session entry {name!r} has a component beyond "
+                        f"modulus {bound:g}"
+                    )
                 if prefix in ("symbol", "pointer", "role", "env"):
                     if not np.abs(np.abs(vec) - 1.0).max() <= _UNIT_TOL:
                         raise SessionIOError(
@@ -1031,7 +1032,8 @@ class Session:
             # a name that is not UTF-8 (a ValueError), is stored twice, or
             # refers to an entry the file does not hold
             raise SessionIOError(f"malformed session entry: {exc}") from None
-        if _GLOBAL not in sess.environments:
-            raise SessionIOError("session file lacks the global scope")
+        for name, kind in ((_INT_NAME, "symbol"), *_DRAWN):
+            if name not in sess.memory or sess.memory.kind(name) != kind:
+                raise SessionIOError(f"session file lacks the {kind} {name!r}")
         sess.global_env = sess.environments[_GLOBAL]
         return sess

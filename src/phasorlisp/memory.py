@@ -80,7 +80,7 @@ class CleanupMemory:
     and complex128 vector sit at that position in three lists.  Vectors
     are handed out read-only.  A read-only complex128 vector is kept by
     reference, so a row stored in many memories, as the sessions of one
-    key store the rows their draw source drew, is held once; its owner
+    key store the rows of their shared stream, is held once; its owner
     must never write it.  Any other vector is copied once, and the copy
     is made read-only.  No stored vector is ever moved, so one kept by a
     caller pins no dropped buffer.  The scan matrix holds each vector's

@@ -3,6 +3,7 @@ import resource
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -391,58 +392,44 @@ def test_session_file_with_a_row_that_is_not_a_unit_phasor_exits_2(
     assert err.startswith("ERROR:io:")
 
 
-#: Restores mutated copies of a saved dim-256 session, each with 1-4 bytes
-#: replaced and a fifth of them cut short, and reports every exception that
-#: is not a ``PhasorError`` and the longest restore.  Arguments: the seed of
-#: the mutations and the number of copies.
-_RESTORE_FUZZ = """
-import io, json, random, sys, time
-from phasorlisp import Config, PhasorError, Session
-
-session = Session(Config(dim=256))
-list(session.eval_source(
-    "(define xs (quote (a 2 (b c))))"
-    "(define sq (lambda (x) (* x x)))"
-    "(define add (lambda (n) (lambda (x) (+ x n))))"
-    "(define add3 (add 3))"
-))
-buf = io.BytesIO()
-session.save(buf)
-data = buf.getvalue()
-rng = random.Random(int(sys.argv[1]))
-escaped, slowest = [], 0.0
-for case in range(int(sys.argv[2])):
-    mutated = bytearray(data)
-    for _ in range(rng.randint(1, 4)):
-        at = rng.randrange(len(mutated))
-        mutated[at] = rng.randrange(256)
-    if rng.random() < 0.2:
-        del mutated[rng.randrange(len(mutated)):]
-    start = time.perf_counter()
-    try:
-        Session.restore(io.BytesIO(bytes(mutated)))
-    except PhasorError:
-        pass
-    except Exception as exc:
-        escaped.append(f"case {case}: {exc!r}")
-    slowest = max(slowest, time.perf_counter() - start)
-print(json.dumps({"escaped": escaped, "slowest": slowest}))
-"""
+@pytest.mark.parametrize(
+    "entry, index, value",
+    [(b"bind:env-0:xs", 0, 8.6e37), (b"chunk:cell-4", 459, 1.7e38)],
+)
+def test_session_file_with_a_binding_or_chunk_beyond_its_bound_exits_2(
+    tmp_path, entry, index, value
+):
+    # within float32 range: unbounded, the restored xs printed wrong, or
+    # a float32 score overflowed with a RuntimeWarning
+    path = tmp_path / "small.vls"
+    code, _, _ = cli(
+        "--dim", "256", "--session", str(path), "repl",
+        stdin="(define xs (quote (a 2 (b c))))\n(define ys (quote (a b c d)))\n",
+    )
+    assert code == 0
+    data = bytearray(path.read_bytes())
+    key = struct.pack("<I", len(entry)) + entry
+    assert data.count(key) == 1
+    at = data.index(key) + len(key) + 8 * index
+    data[at:at + 8] = struct.pack("<d", value)
+    code, out, err = _run_with_session(tmp_path, bytes(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:io:")
 
 
 def test_a_mutated_session_file_restores_or_raises_a_phasor_error():
     # Under the memory limit a corrupt dimension or count cannot allocate
-    # lazily what no machine has, and an overflow warning is an error.  A
-    # restore takes under a millisecond here; the bound catches a hang.
+    # lazily what no machine has.  A case takes milliseconds; the bound
+    # catches a hang.
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", _RESTORE_FUZZ,
-         "1", "300"],
+        [sys.executable, str(Path(__file__).parent / "fuzz_restore.py"), "1", "300"],
         capture_output=True,
         text=True,
         timeout=120,
         preexec_fn=_limit_memory,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["escaped"] == []
     assert report["slowest"] < 2.0

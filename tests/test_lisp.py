@@ -431,7 +431,7 @@ def test_a_warm_start_gives_the_entries_and_state_a_cold_one_does():
     cold = _cold(config)
     warm = Session(config)
     assert warm.codebook is cold.codebook
-    assert warm._draws is cold._draws
+    assert warm._stream is cold._stream
     assert _entries(warm) == _entries(cold)
     # both drew positions 0-10 of the stream, and hold those very rows
     assert warm._drawn == cold._drawn == 11
@@ -440,7 +440,7 @@ def test_a_warm_start_gives_the_entries_and_state_a_cold_one_does():
     # and both hold what new_rng(seed) draws, in the documented order
     rng = new_rng(config.seed)
     book = make_codebook(ModuliSet(config.moduli), config.dim, rng)
-    assert cold._draws.state == rng.bit_generator.state
+    assert cold._stream.state == rng.bit_generator.state
     drawn = [book.tag] + [random_symbol(rng, config.dim) for _ in range(11)]
     assert [row for _, _, row in _entries(cold)] == [v.tobytes() for v in drawn]
     assert names == [
@@ -501,13 +501,13 @@ def test_nothing_a_start_shares_can_be_written():
 
     config = Config(seed=207)
     session = Session(config)
-    start = _start(config)
-    assert start.codebook is session.codebook
-    assert start.draws is session._draws
+    stream = _start(config)
+    assert stream is session._stream
+    assert stream.codebook is session.codebook
     rows = [session.memory.vector(name) for name in session.memory.names()]
     assert rows[0] is session.codebook.tag
-    # memory holds the start's rows themselves, not copies of them
-    assert all(rows[1 + p] is start.draws.row(p) for p in range(11))
+    # memory holds the stream's rows themselves, not copies of them
+    assert all(rows[1 + p] is stream.row(p) for p in range(11))
     for array in [session.codebook.phases, *rows]:
         with pytest.raises(ValueError):
             array[0] = 0
@@ -531,7 +531,7 @@ def test_a_start_that_cannot_be_built_is_a_config_error_and_is_not_kept(
     assert Session(config).codebook is kept
 
 
-# -- the draw source ---------------------------------------------------
+# -- the stream --------------------------------------------------------
 
 
 def _lists_transcript(session, plan):
@@ -552,7 +552,7 @@ def test_every_row_a_session_draws_is_its_streams_row_at_that_position(dim):
     config = Config(dim=dim, seed=210)
     session = _cold(config)
     _lists_transcript(session, WORKLOADS["lists"].plan(1, 0))
-    rows = session._draws._rows
+    rows = session._stream._rows
     # a reused spine cell skips its position: every other entry but int
     # was drawn once, and no position was drawn that nothing stored
     assert len(rows) == len(session.memory) - 1
@@ -570,11 +570,11 @@ def test_sessions_sharing_a_source_in_threads_print_what_cold_ones_do():
     config = Config(seed=211)
     plans = [WORKLOADS["lists"].plan(1, i) for i in range(3)]
     expected = [_lists_transcript(_cold(config), plan) for plan in plans]
-    # built in this thread from one start, whose source holds only the
+    # built in this thread from one stream, which holds only the
     # bootstrap rows, so three threads that switch often draw every later
     # position afresh
     sessions = [_cold(config)] + [Session(config) for _ in plans[1:]]
-    assert all(s._draws is sessions[0]._draws for s in sessions)
+    assert all(s._stream is sessions[0]._stream for s in sessions)
     barrier = threading.Barrier(len(plans))
     results = [None] * len(plans)
 
@@ -606,7 +606,7 @@ def test_another_keys_start_frees_the_old_rows_once_no_session_holds_them():
 
     config = Config(seed=212)
     session = Session(config)
-    block = weakref.ref(_start(config).draws._block)
+    block = weakref.ref(_start(config)._block)
     Session(replace(config, seed=213))
     gc.collect()
     assert block() is not None  # the session's memory holds its rows
@@ -628,7 +628,7 @@ def test_a_restored_session_draws_from_a_source_of_its_own():
     runs = []
     for _ in range(2):
         other = Session.restore(io.BytesIO(data), config)
-        assert other._draws is not session._draws
+        assert other._stream is not session._stream
         stored = len(other.memory)
         assert list(other.eval_source("(define ys (cons (quote c) xs))")) == ["ys"]
         new = other.memory.names()[stored:]
@@ -640,6 +640,41 @@ def test_a_restored_session_draws_from_a_source_of_its_own():
     rng = np.random.default_rng((config.seed, count))
     drawn = [random_symbol(rng, config.dim).tobytes() for _ in new]
     assert [row for _, _, row in runs[0][stored:]] == drawn
+
+
+def test_a_draw_that_fails_stores_nothing_and_the_stream_stays_exact(
+    monkeypatch,
+):
+    import phasorlisp.lisp
+    from phasorlisp.lisp import _start
+
+    config = Config(dim=64, seed=215)
+    stream = _start(config)
+    held = dict(stream._rows)
+    real = phasorlisp.lisp.random_symbol
+    failed = []
+
+    def fails_once(rng, dim):
+        if not failed:
+            failed.append(rng.random(dim // 2))  # part of a draw, then none
+            raise MemoryError
+        return real(rng, dim)
+
+    monkeypatch.setattr(phasorlisp.lisp, "random_symbol", fails_once)
+    p = 20  # past the bootstrap rows
+    with pytest.raises(MemoryError):
+        stream.row(p)
+    assert stream._rows == held
+    # p + 1 first: a generator left where the failed draw stopped would
+    # draw it wrong
+    late = stream.row(p + 1)
+    got = [stream.row(p), late]
+    # what new_rng(seed) draws after the codebook, advanced by hand
+    rng = new_rng(config.seed)
+    make_codebook(ModuliSet(config.moduli), config.dim, rng)
+    rng.bit_generator.advance(p * config.dim)
+    expected = [real(rng, config.dim) for _ in range(2)]
+    assert [row.tobytes() for row in got] == [row.tobytes() for row in expected]
 
 
 # -- arithmetic --------------------------------------------------------
@@ -1194,6 +1229,64 @@ def test_restore_rejects_a_memory_row_that_is_not_a_unit_phasor(session, entry):
     data[at:at + 8] = struct.pack("<d", 6.5e4)
     with _within(10), pytest.raises(SessionIOError, match="unit phasor"):
         Session.restore(io.BytesIO(bytes(data)))
+
+
+@pytest.mark.parametrize(
+    "entry, index, value",
+    [
+        # within float32 range: unbounded, the first makes xs print as (c)
+        # and the second overflows a float32 score when xs prints
+        (b"bind:env-0:xs", 0, 8.6e37),
+        (b"chunk:cell-4", 459, 1.7e38),
+        # just past each bound
+        (b"bind:env-0:ys", 0, 2.01),
+        (b"chunk:cell-0", 0, 5.01),
+    ],
+)
+def test_restore_rejects_a_binding_or_chunk_beyond_its_bound(
+    fast_session, entry, index, value
+):
+    list(fast_session.eval_source(
+        "(define xs (quote (a 2 (b c))))(define ys (quote (a b c d)))"
+    ))
+    buf = io.BytesIO()
+    fast_session.save(buf)
+    data = bytearray(buf.getvalue())
+    key = struct.pack("<I", len(entry)) + entry
+    assert data.count(key) == 1
+    at = data.index(key) + len(key) + 8 * index
+    data[at:at + 8] = struct.pack("<d", value)
+    with pytest.raises(SessionIOError, match="beyond modulus"):
+        Session.restore(io.BytesIO(bytes(data)))
+
+
+def test_the_widest_bindings_and_chunks_restore_as_they_were(session):
+    # both parts of a pair and a closure's body may be integers, each a
+    # code plus the tag, and a binding may be one
+    run(session, "(define p (cons 1 2))")
+    run(session, "(define k (lambda (x) 5))")
+    run(session, "(define n 7)")
+    buf = io.BytesIO()
+    session.save(buf)
+    other = Session.restore(io.BytesIO(buf.getvalue()))
+    forms = ("p", "(k 1)", "n", "k")
+    expected = ["(1 . 2)", "5", "7", "#<lambda>"]
+    assert [run(s, form) for s in (session, other) for form in forms] == expected * 2
+
+
+@pytest.mark.parametrize(
+    "entry, renamed",
+    [(b"role:#lambda", b"role:#lambdb"), (b"symbol:nil", b"symbol:nim")],
+)
+def test_restore_rejects_a_file_without_a_bootstrap_entry(session, entry, renamed):
+    # the evaluator reads these by name, so a missing role escaped as a
+    # KeyError, and a missing nil was minted afresh
+    buf = io.BytesIO()
+    session.save(buf)
+    data = buf.getvalue()
+    assert data.count(entry) == 1
+    with pytest.raises(SessionIOError, match="lacks"):
+        Session.restore(io.BytesIO(data.replace(entry, renamed)))
 
 
 def test_restore_rejects_a_pointer_without_its_chunk(session):

@@ -43,10 +43,11 @@ class _Forgetful(dict):
 class Unmemoized(Session):
     """Resolves and decodes everything afresh, as without memos."""
 
-    def _setup(self, config, codebook, draws):
-        # a private copy, with caches of its own: the codebook given may
-        # be the one every session of the thread shares
-        super()._setup(config, dataclasses.replace(codebook), draws)
+    def _setup(self, config, stream):
+        super()._setup(config, stream)
+        # a private copy, with caches of its own: the stream's codebook
+        # may be the one every session of the thread shares
+        self.codebook = dataclasses.replace(self.codebook)
         self.codebook._decoded = _Forgetful()
 
     def _unbind_role(self, r, role):
@@ -104,8 +105,8 @@ class Float64Memory(CleanupMemory):
 class Float64Recall(Session):
     """A session whose memory scans in float64 only."""
 
-    def _setup(self, config, codebook, draws):
-        super()._setup(config, codebook, draws)
+    def _setup(self, config, stream):
+        super()._setup(config, stream)
         self.memory = Float64Memory(config.dim)
 
 
@@ -121,12 +122,12 @@ class SpineKept(Session):
 class FreshSpine(Session):
     """Draws a fresh vector for every spine cell, from a generator of its
     own set to the session's stream position, where a session takes the
-    row of its draw source; it discards the vector of a cell a form takes
+    row of its stream; it discards the vector of a cell a form takes
     again, where a session skips that position."""
 
     def _spine_pointer(self, name):
         rng = np.random.default_rng(0)
-        rng.bit_generator.state = self._draws.state
+        rng.bit_generator.state = self._stream.state
         rng.bit_generator.advance(self._drawn * self.config.dim)
         pointer = random_symbol(rng, self.config.dim)
         self._drawn += 1
