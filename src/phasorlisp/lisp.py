@@ -30,7 +30,6 @@ from .errors import (
     DecodeError,
     EvalError,
     LispTypeError,
-    MemoryEmptyError,
     NoMatchError,
     NotApplicableError,
     RecursionDepthError,
@@ -90,9 +89,7 @@ _DRAWN = (
     (_GLOBAL, "env"),
 )
 
-#: name prefix of the cells of a top-level form's spine, numbered afresh
-#: each form; ``code-<n>`` is stored once, by the first form that needs it,
-#: and every form after takes the same entry with a chunk of its own
+#: name prefix of a top-level form's spine cells; see ``Session.encode``
 _SPINE = "code"
 
 #: Most a restored memory row's component may differ from modulus 1.  A
@@ -151,14 +148,9 @@ class Resolved:
     read-only unless the kind is ``unknown``.
     ``similarity`` is the recall score of the winning memory entry, or
     ``None`` for an integer or an unknown vector.  The evaluator hands
-    code from step to step as ``Resolved``.  ``Session._unbind_role``
-    resolves each part of a written-once chunk once per session, and
-    ``Session._resolve_value`` each recent runtime value and spine part
-    by its bytes.  Both hand out the very ``Resolved`` they stored, so a
-    vector the session has already cleaned up is not cleaned up, or
-    rebuilt, again; only a reading whose winner is a spine cell is
-    rebuilt on every hit, since its kind comes from the cell's chunk in
-    the current form.
+    code from step to step as ``Resolved``, and the session's memos hand
+    out the very ``Resolved`` they stored (see
+    ``Session._memoized_resolve``).
     """
 
     kind: str
@@ -443,15 +435,10 @@ class Session:
         return pointer
 
     def _spine_pointer(self, name: str) -> np.ndarray:
-        """The read-only pointer of spine cell ``name``: its memory row.
-
-        The first form that needs ``name`` draws its pointer, as any other
-        pointer is drawn, and stores it for good; every later form reuses
-        the row and skips the stream position a fresh draw would take.
-        So the draw counter, and every vector a value keeps, is what it
-        would be with a fresh draw per cell, and a sub-form that repeats
-        an earlier one at the same cell numbers rebuilds its chunks bit
-        for bit.  A restored session holds no spine cell.
+        """The read-only pointer of spine cell ``name``: its memory row,
+        drawn and stored by the first form that needs it.  A later form
+        moves the draw counter on by the draw it saves (see ``encode``).
+        A restored session holds no spine cell.
         """
         if name in self._spine:
             self._drawn += 1
@@ -459,46 +446,45 @@ class Session:
             self._mint(name, "pointer")
         return self.memory.vector(name)
 
-    def encode(self, expr: SExpr) -> np.ndarray:
-        """Encode an AST as data: the vector form quote would return."""
+    def encode(self, expr: SExpr, *, code: bool = False) -> np.ndarray:
+        """Encode an AST as data, the vector ``quote`` would return, or,
+        with ``code``, as a top-level form.
+
+        A list folds right to left into cons cells ending in ``nil``.  A
+        data cell is a fresh ``cell-<n>`` chunk, stored by ``cons``.  In
+        code, the items after the head of a list headed by ``quote`` or
+        ``lambda`` are data: they outlive the form, as the value ``quote``
+        returns and as a closure's parameters and body.  Every other cell
+        of a form is its *spine*, named ``code-<n>`` in the order it is
+        stored.  No value refers to a spine cell once the form ends
+        (``define`` returns its symbol and no primitive returns code), so
+        the next form numbers its spine from ``code-0`` again and takes
+        the same entries with chunks of its own.  Special forms are known
+        by their head's name alone, so the split is exact.  A spine cell
+        keeps the pointer its first form drew, and one taken again moves
+        the draw counter on by the draw it saves (``_spine_pointer``), so
+        the stream is drawn as with a fresh draw per cell.  So every vector
+        a value keeps is what a fresh draw would give, and a sub-form of
+        spine cells, symbols and integers that repeats an earlier one at
+        the same cell numbers is rebuilt bit for bit, and so are the
+        readings of its parts.
+        """
         if isinstance(expr, IntLiteral):
             return self.encode_int(expr.value)
         if isinstance(expr, Atom):
             return self.symbol(expr.name)
-        if isinstance(expr, ListExpr):
-            v = self.symbol("nil")
-            for item in reversed(expr.items):
-                v = self.cons(self.encode(item), v)
-            return v
-        raise EvalError(f"cannot encode {expr!r}")
-
-    def _encode_code(self, expr: SExpr) -> np.ndarray:
-        """``encode`` a top-level form, its spine as ``code-<n>`` cells.
-
-        The spine is every cons cell outside a ``quote`` argument and
-        outside a ``lambda`` parameter list or body.  Those arguments
-        outlive the form, as the value ``quote`` returns and as a
-        closure's parts, so ``encode`` stores them as ``cell-<n>`` chunks.
-        No value refers to a spine cell once the form ends: ``define``
-        returns its symbol and no primitive returns code.  So the next
-        form numbers its cells from 0 again and takes the same entries
-        with chunks of its own.  Special forms are known by their head's
-        name alone, so the split is exact.  The stream is drawn in the
-        order ``encode`` draws it (see ``_spine_pointer``), so a sub-form
-        that repeats an earlier form's at the same cell numbers is rebuilt
-        bit for bit, and so are the readings of its parts.
-        """
         if not isinstance(expr, ListExpr):
-            return self.encode(expr)
+            raise EvalError(f"cannot encode {expr!r}")
         items = expr.items
         head = items[0] if items else None
         data = isinstance(head, Atom) and head.name in ("quote", "lambda")
         v = self.symbol("nil")
         for i in range(len(items) - 1, -1, -1):
-            encode = self.encode if data and i > 0 else self._encode_code
-            v = self._store_chunk(
-                _SPINE, "#cons", ("#head", encode(items[i])), ("#tail", v)
-            )
+            item = self.encode(items[i], code=code and not (data and i > 0))
+            if code:
+                v = self._store_chunk(_SPINE, "#cons", ("#head", item), ("#tail", v))
+            else:
+                v = self.cons(item, v)
         return v
 
     # -- recovery -------------------------------------------------------
@@ -524,7 +510,7 @@ class Session:
                 failed = exc
         try:
             hit = self.memory.recall(v)
-        except (MemoryEmptyError, NoMatchError):
+        except NoMatchError:
             return Resolved("unknown", None, None, v)
         if failed is not None and hit.name == _INT_NAME:
             raise failed
@@ -605,9 +591,9 @@ class Session:
         A chunk in memory is written once, so the vector unbound from it
         never changes: its parts are memoized per (chunk name, role).  A
         spine cell names another chunk, kept in ``_spine``, in every form,
-        so its parts go through the value memo, keyed by their bytes; a
-        sub-form that repeats an earlier one rebuilds them bit for bit,
-        and their readings serve it across forms.
+        so its parts go through the value memo, keyed by their bytes,
+        whose readings serve a repeated sub-form across forms (see
+        ``encode``).
         """
         chunk = self._spine.get(r.name)
         if chunk is not None:
@@ -664,19 +650,16 @@ class Session:
     def eval_expr(self, expr: SExpr) -> np.ndarray:
         """Encode and evaluate one top-level form in the global scope.
 
-        The form's spine (see ``_encode_code``) takes the cells
-        ``code-0``, ``code-1``, ... again: memory grows by a spine cell
-        only when a form's spine is longer than every earlier one, and
-        otherwise only by what the form's values keep.  The form's
-        pointer and its spine's parts are read through the value memo,
-        whose readings outlive the form exactly (see
+        The form is encoded as code (see ``encode``), so memory grows by
+        a spine cell only when the form's spine is longer than every
+        earlier one.  Its pointer is read through the value memo (see
         ``_memoized_resolve``).  Evaluation recurses on the Python stack,
         so a program nested or recursing too deeply raises
         ``RecursionDepthError``.
         """
         self._counts[_SPINE] = 0
         with _depth_guard("evaluation"):
-            code = self._resolve_value(self._encode_code(expr))
+            code = self._resolve_value(self.encode(expr, code=True))
             return self.eval_vec(code, self.global_env)
 
     def eval_source(self, source: str) -> Iterator[str]:
@@ -983,7 +966,10 @@ class Session:
         one would read as another value or overflow a float32 score.  A
         ``parent:`` entry is read by its name alone; its vector is never
         used, so it has no bound.  A file that lacks one of the 12
-        bootstrap entries, or holds one as another kind, raises too.
+        bootstrap entries, or holds one as another kind, raises too, and
+        so does one whose codebook tag is not bit for bit its ``int`` row:
+        ``save`` writes both from one array, and integers are encoded with
+        the one and recalled against the other.
         """
         if isinstance(src, (str, Path)):
             with open(src, "rb") as fh:
@@ -1035,5 +1021,7 @@ class Session:
         for name, kind in ((_INT_NAME, "symbol"), *_DRAWN):
             if name not in sess.memory or sess.memory.kind(name) != kind:
                 raise SessionIOError(f"session file lacks the {kind} {name!r}")
+        if sess.memory.vector(_INT_NAME).tobytes() != codebook.tag.tobytes():
+            raise SessionIOError("session file holds two different integer tags")
         sess.global_env = sess.environments[_GLOBAL]
         return sess

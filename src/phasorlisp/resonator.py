@@ -9,7 +9,7 @@ unit circle.  The slots are swept sequentially so each update sees the
 freshest estimates of the others.
 
 Convergence is declared when the winning atom index of every slot has been
-stable for ``patience`` consecutive sweeps; the winning indices are the
+stable for ``PATIENCE`` consecutive sweeps; the winning indices are the
 decoded output, so vector-level oscillation with a stable argmax is benign.
 
 The network runs in *class space*.  Group the elements by their joint
@@ -43,6 +43,9 @@ __all__ = [
     "factorize",
     "cleanup",
 ]
+
+#: Sweeps the winning atom indices must hold unchanged to converge
+PATIENCE = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +205,7 @@ def factorize(
     s: np.ndarray,
     codebooks: Sequence[FactorCodebook],
     max_iters: int = 100,
-    patience: int = 3,
+    *,
     trace: IO[str] | None = None,
     seed: int | None = None,
 ) -> ResonatorState:
@@ -271,8 +274,8 @@ def factorize(
                 label = books[k].label or str(k)
                 trace.write(f"iter {iteration} slot {label} -> {idx} sim {sim:.4f}\n")
         history.append(tuple(winners))
-        if len(history) > patience and all(
-            history[-1] == history[-1 - i] for i in range(1, patience + 1)
+        if len(history) > PATIENCE and all(
+            history[-1] == history[-1 - i] for i in range(1, PATIENCE + 1)
         ):
             converged = True
             break

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from fuzz_restore import saved_file
+
 #: Address-space limit for cases that allocate more than any machine has:
 #: without it such an allocation may succeed lazily and exhaust memory.
 MEMORY_LIMIT = 1536 << 20
@@ -432,7 +434,27 @@ def test_a_mutated_session_file_restores_or_raises_a_phasor_error():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["escaped"] == []
+    assert report["wrong"] == []
     assert report["slowest"] < 2.0
+
+
+def test_a_session_file_whose_codebook_tag_differs_from_its_int_row_exits_2(
+    tmp_path,
+):
+    # case 1149 of the restore fuzz at seed 1: one byte of the codebook's
+    # tag makes the imaginary part of component 36 about 2.8e38, within
+    # float32 range; unchecked, xs printed (35 35 35)
+    data = bytearray(saved_file())
+    assert data[6759] == 0x3F
+    data[6759] = 0x47
+    sess = tmp_path / "fuzzed.vls"
+    sess.write_bytes(bytes(data))
+    script = tmp_path / "prog.vl"
+    script.write_text("xs\n")
+    code, out, err = cli("--session", str(sess), "run", str(script))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:io:")
 
 
 def test_deep_recursion_reports_depth_and_keeps_the_session():

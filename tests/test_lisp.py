@@ -1214,10 +1214,20 @@ def test_restore_rejects_a_reference_to_a_missing_scope(session):
 
 
 @pytest.mark.parametrize(
-    "entry", [b"symbol:t", b"pointer:cell-0", b"role:#tail", b"env:env-0"]
+    "entry, value",
+    [
+        *(
+            pytest.param(entry, 6.5e4, id=entry.decode())
+            for entry in (b"symbol:t", b"pointer:cell-0", b"role:#tail", b"env:env-0")
+        ),
+        # the largest row value the restore fuzz met, just below float32's
+        pytest.param(b"pointer:cell-0", 3.2e38, id="pointer:cell-0-3.2e38"),
+    ],
 )
-def test_restore_rejects_a_memory_row_that_is_not_a_unit_phasor(session, entry):
-    # 6.5e4 lies within float32 range; as a component of a stored row it
+def test_restore_rejects_a_memory_row_that_is_not_a_unit_phasor(
+    session, entry, value
+):
+    # both lie within float32 range; as a component of a stored row either
     # wins every recall, and a cell whose tail reads as itself loops
     run(session, "(define xs (quote (a b)))")
     buf = io.BytesIO()
@@ -1226,7 +1236,7 @@ def test_restore_rejects_a_memory_row_that_is_not_a_unit_phasor(session, entry):
     key = struct.pack("<I", len(entry)) + entry
     assert data.count(key) == 1
     at = data.index(key) + len(key)
-    data[at:at + 8] = struct.pack("<d", 6.5e4)
+    data[at:at + 8] = struct.pack("<d", value)
     with _within(10), pytest.raises(SessionIOError, match="unit phasor"):
         Session.restore(io.BytesIO(bytes(data)))
 
@@ -1287,6 +1297,33 @@ def test_restore_rejects_a_file_without_a_bootstrap_entry(session, entry, rename
     assert data.count(entry) == 1
     with pytest.raises(SessionIOError, match="lacks"):
         Session.restore(io.BytesIO(data.replace(entry, renamed)))
+
+
+@pytest.mark.parametrize("copy", ["codebook", "row"])
+def test_restore_rejects_a_file_whose_two_integer_tags_differ(fast_session, copy):
+    # save writes the codebook's tag and the symbol:int row from one array.
+    # One component of either turned by a quarter radian keeps modulus 1,
+    # so only comparing the copies tells; unchecked, integers would be
+    # encoded against the one and recalled against the other.
+    run(fast_session, "(define xs (quote (a 2 (b c))))")
+    buf = io.BytesIO()
+    fast_session.save(buf)
+    data = bytearray(buf.getvalue())
+    dim, n = fast_session.config.dim, len(fast_session.config.moduli)
+    if copy == "codebook":
+        at = 12 + 4 * n + 8 * n * dim  # the tag follows the phase table
+    else:
+        key = struct.pack("<I", len(b"symbol:int")) + b"symbol:int"
+        assert data.count(key) == 1
+        at = data.index(key) + len(key)
+    at += 16 * 36
+    turned = complex(*struct.unpack_from("<dd", data, at)) * complex(
+        math.cos(0.25), math.sin(0.25)
+    )
+    assert abs(abs(turned) - 1.0) < 1e-12
+    struct.pack_into("<dd", data, at, turned.real, turned.imag)
+    with pytest.raises(SessionIOError, match="two different integer tags"):
+        Session.restore(io.BytesIO(bytes(data)))
 
 
 def test_restore_rejects_a_pointer_without_its_chunk(session):

@@ -111,12 +111,12 @@ class Float64Recall(Session):
 
 
 class SpineKept(Session):
-    """Stores each form's code as ``encode`` stores data, in cell- entries
+    """Encodes each form as data, stored by ``cons`` in cell- entries
     of its own, where a session reuses the spine cells code-0, code-1, ...
     in every form."""
 
-    def _encode_code(self, expr):
-        return self.encode(expr)
+    def encode(self, expr, *, code=False):
+        return super().encode(expr)
 
 
 class FreshSpine(Session):
@@ -167,6 +167,15 @@ ACCEPTANCE = (
     "(/ 44 4)",
     "(car 1)",
     "((lambda (x y) x) 1)",
+    # data inside code inside data: a quote in a lambda body, a lambda in
+    # a cond result, a quoted lambda and a quoted quote
+    "(define g (lambda (x) (cons x (quote (q r)))))",
+    "(g 1)",
+    "(g (quote (s)))",
+    "(cond (t ((lambda (y) (quote (y y))) 3)))",
+    "(car (quote (lambda (x) x)))",
+    "((lambda (k) (k 5)) (lambda (z) (* z z)))",
+    "(quote (quote (a b)))",
 )
 
 
