@@ -99,6 +99,6 @@ class ConfigError(PhasorError):
 
 
 class SessionIOError(PhasorError):
-    """A session or codebook file is missing or malformed."""
+    """A session file or script is missing or malformed."""
 
     kind = "io"

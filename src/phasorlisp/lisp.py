@@ -29,6 +29,7 @@ from .errors import (
     DanglingPointerError,
     DecodeError,
     EvalError,
+    InvalidModuliError,
     LispTypeError,
     NoMatchError,
     NotApplicableError,
@@ -47,14 +48,9 @@ from .residue import (
     decode_residue,
     div_bind,
     encode_residue,
-    load_codebook,
     make_codebook,
     mul_bind,
     nearest_code,
-    read_exact,
-    read_vector,
-    save_codebook,
-    write_vector,
 )
 
 __all__ = ["Config", "Resolved", "Session", "SPECIAL_FORMS", "PRIMITIVES"]
@@ -92,8 +88,14 @@ _DRAWN = (
 #: name prefix of a top-level form's spine cells; see ``Session.encode``
 _SPINE = "code"
 
-#: Most a restored memory row's component may differ from modulus 1.  A
-#: drawn row's components lie within a few float64 ulps of it.
+#: The first bytes of a session file; see ``Session.save``
+_MAGIC = b"RHC2"
+
+#: Kinds of the memory rows a session file names by stream position.
+_ROW_KINDS = ("symbol", "pointer", "role", "env")
+
+#: Slack of ``_MODULUS_BOUND`` for float64 rounding: a drawn row's
+#: components lie within a few ulps of modulus 1.
 _UNIT_TOL = 1e-9
 
 #: Entry prefix -> most a restored vector's component may reach in
@@ -193,8 +195,8 @@ class _Stream:
     published, and handed out read-only, and a draw that fails stores
     nothing.  A position no owner asks for is never drawn, and takes no
     room.  The stream keeps every row it drew for as long as anything
-    holds it: a thread keeps the stream of its last fresh session's key
-    (see ``_start``), and every session keeps its own.
+    holds it: a thread keeps the stream of the last key it built a
+    session of (see ``_start``), and every session keeps its own.
     """
 
     def __init__(self, codebook: ResidueCodebook, rng: np.random.Generator) -> None:
@@ -234,8 +236,8 @@ class _Stream:
         return row
 
 
-#: each thread's (key, stream) of the last fresh session it built; see
-#: ``Session``
+#: each thread's (key, stream) of the last session it built, fresh or
+#: restored; see ``Session``
 _streams = threading.local()
 
 
@@ -268,7 +270,8 @@ class Session:
     the last one it built; a session of another key replaces it.  So
     every fresh session of a key shares its codebook, with the class
     tables, factor books and decode memo its earlier sessions built, and
-    every row they drew.  A restored session has a stream of its own.
+    every row they drew.  A restored session is built the same way, from
+    the key its file holds (see ``restore``).
 
     Every fresh vector a session stores (a symbol, a pointer, a scope
     handle, a bootstrap entry) is the stream's row at the session's draw
@@ -311,6 +314,8 @@ class Session:
         #: the next one
         self._stream = stream
         self._drawn = 0
+        #: entry name -> the stream position of its row; see _draw
+        self._positions: dict[str, int] = {}
         self.memory = CleanupMemory(config.dim)
         self.environments: dict[str, Environment] = {}
         self.display_raw = False
@@ -335,15 +340,17 @@ class Session:
         self.global_env = self.environments[_GLOBAL] = Environment()
         self.global_env.handle = _GLOBAL
 
-    def _draw(self) -> np.ndarray:
-        """The next fresh random vector of the session's stream, read-only."""
+    def _draw(self, name: str) -> np.ndarray:
+        """The next fresh random vector of the session's stream, read-only,
+        for entry ``name``, whose position it records for ``save``."""
         row = self._stream.row(self._drawn)
+        self._positions[name] = self._drawn
         self._drawn += 1
         return row
 
     def _mint(self, name: str, kind: str) -> None:
         """Store a fresh random vector under ``name``."""
-        self.memory.add(name, self._draw(), kind=kind)
+        self.memory.add(name, self._draw(name), kind=kind)
 
     def _next_name(self, prefix: str) -> str:
         """Lowest free ``<prefix>-<n>``, past any stored entry of that name
@@ -430,7 +437,7 @@ class Session:
             pointer = self._spine_pointer(name)
             self._spine[name] = composite
         else:
-            pointer = self._draw()
+            pointer = self._draw(name)
             self.memory.add_chunk(name, pointer, composite)
         return pointer
 
@@ -438,7 +445,8 @@ class Session:
         """The read-only pointer of spine cell ``name``: its memory row,
         drawn and stored by the first form that needs it.  A later form
         moves the draw counter on by the draw it saves (see ``encode``).
-        A restored session holds no spine cell.
+        A restored session holds the spine cells and chunks of the saved
+        one.
         """
         if name in self._spine:
             self._drawn += 1
@@ -907,121 +915,193 @@ class Session:
     # -- persistence ----------------------------------------------------
 
     def save(self, dest: IO[bytes] | str | Path) -> None:
-        """Dump codebook and memory so the session can be reopened.
+        """Write the session to a file that ``restore`` reopens.
 
-        The payload after the codebook block is a flat inventory of
-        length-prefixed UTF-8 names and interleaved re/im float64
-        vectors; entry kinds, chunk payloads, and environment structure
-        ride in name prefixes.  Spine cells are not written: no value
-        refers to one, and the next form that needs one stores it again.
+        The key (dim, moduli, seed) fixes the codebook and every row of
+        the stream, so a row is written as its stream position, and only
+        chunks and bindings as floats.  Layout, little-endian: the magic
+        ``RHC2``; u32 dim, u32 modulus count, a u32 per modulus, u64 seed,
+        u64 draw counter and u32 entry count; then per entry a u32 length,
+        a UTF-8 name ``<kind>:<rest>`` and a payload its kind fixes: a u64
+        position for a ``symbol:``, ``pointer:``, ``role:`` or ``env:``
+        row, interleaved re/im float64 for a ``chunk:`` or ``bind:``
+        vector, nothing for a ``parent:`` link.  First come the rows past
+        the 12 bootstrap entries, which the key makes, in memory order and
+        spine cells included; then every pointer's chunk; then each scope's
+        parent link and bindings.
         """
         if isinstance(dest, (str, Path)):
             with open(dest, "wb") as fh:
                 self.save(fh)
             return
-        kept = [name for name in self.memory.names() if name not in self._spine]
+        cfg = self.config
+        if cfg.seed >= 1 << 64:
+            raise SessionIOError(f"a session file holds a u64 seed, not {cfg.seed}")
+        rows = self.memory.names()[len(_DRAWN) + 1:]
         entries = [
-            (f"{self.memory.kind(name)}:{name}", self.memory.vector(name))
-            for name in kept
+            (f"{self.memory.kind(n)}:{n}", struct.pack("<Q", self._positions[n]))
+            for n in rows
         ]
-        for name in kept:
-            if self.memory.kind(name) == "pointer":
-                entries.append((f"chunk:{name}", self.memory.chunk(name)))
+        # a vector is written from its own buffer, not from a copy, so a
+        # save holds no second copy of the session's chunks and bindings
+        entries += [
+            (f"chunk:{n}", np.ascontiguousarray(self._chunk(n), dtype="<c16"))
+            for n in rows
+            if self.memory.kind(n) == "pointer"
+        ]
         for handle, env in self.environments.items():
             if env.parent is not None:
-                parent = env.parent.handle
-                entries.append(
-                    (f"parent:{handle}:{parent}", self.memory.vector(parent))
-                )
-            for bname, vec in env.frame.items():
-                entries.append((f"bind:{handle}:{bname}", vec))
-        save_codebook(self.codebook, dest)
-        dest.write(struct.pack("<I", len(entries)))
-        for name, vec in entries:
+                entries.append((f"parent:{handle}:{env.parent.handle}", b""))
+            entries += [
+                (f"bind:{handle}:{bname}", np.ascontiguousarray(vec, dtype="<c16"))
+                for bname, vec in env.frame.items()
+            ]
+        n = len(self.moduli)
+        key = (cfg.dim, n, *self.moduli, cfg.seed, self._drawn)
+        dest.write(_MAGIC + struct.pack(f"<II{n}IQQI", *key, len(entries)))
+        for name, payload in entries:
             raw = name.encode("utf-8")
-            dest.write(struct.pack("<I", len(raw)))
-            dest.write(raw)
-            write_vector(dest, vec)
+            dest.write(struct.pack("<I", len(raw)) + raw)
+            dest.write(payload)
 
     @classmethod
     def restore(
         cls, src: IO[bytes] | str | Path, config: Config | None = None
     ) -> "Session":
-        """Reopen a saved session.
+        """Reopen a file that ``save`` wrote.
 
-        The file's dimension and moduli override the passed config.  The
-        session is built by ``_setup``, as a fresh one is, from a stream of
-        its own: the file's codebook and the generator
-        ``default_rng((seed, count))`` for the file's entry count, so
-        freshly minted symbols cannot replay vectors the saved session
-        already used; a file restored twice draws the same rows.  Entries
-        are applied in one pass, in the order ``save`` writes them: an
-        entry that names a pointer or scope the file has not yet stored
-        raises ``SessionIOError``.  So does a memory row that is not a
-        unit phasor: every row a session stores is drawn by
-        ``random_symbol``, and one with a large component would win every
-        recall.  So does a ``bind:`` vector with a component beyond
-        modulus 2, or a ``chunk:`` vector with one beyond 5 (see
-        ``_MODULUS_BOUND``): no session binds or stores such a vector, and
-        one would read as another value or overflow a float32 score.  A
-        ``parent:`` entry is read by its name alone; its vector is never
-        used, so it has no bound.  A file that lacks one of the 12
-        bootstrap entries, or holds one as another kind, raises too, and
-        so does one whose codebook tag is not bit for bit its ``int`` row:
-        ``save`` writes both from one array, and integers are encoded with
-        the one and recalled against the other.
+        The file's key overrides the passed config's.  The whole file is
+        read and checked first, each vector's length following from the
+        dim, so a corrupt dim fails as a truncated file.  Then the session
+        is built as ``Session()`` builds one, from the key's stream; each
+        row is minted at its saved position, in file order, and the draw
+        counter goes on from its saved value.  So the restored session
+        holds what the saved one held and mints what it would have minted.
+        Entries are applied in one pass, in ``save`` order.  A file raises
+        ``SessionIOError`` for: an entry that names a pointer or scope the
+        file has not yet stored, or a name stored twice; a position at or
+        past the draw counter, or one that another row or a bootstrap
+        entry takes; a ``bind:`` or ``chunk:`` component beyond its
+        ``_MODULUS_BOUND``, since no session binds or stores one, and it
+        would read as another value or overflow a float32 score; a pointer
+        without its chunk; a parent link that closes a loop of scopes; and
+        a key that is not valid or cannot be allocated.
         """
         if isinstance(src, (str, Path)):
             with open(src, "rb") as fh:
                 return cls.restore(fh, config)
-        codebook = load_codebook(src)
+        magic = _read_exact(src, 4)
+        if magic != _MAGIC:
+            raise SessionIOError(
+                f"session file starts with {magic!r}; this version reads "
+                f"only the {_MAGIC.decode()} format"
+            )
+        dim, n = struct.unpack("<II", _read_exact(src, 8))
+        moduli = struct.unpack(f"<{n}I", _read_exact(src, 4 * n))
+        seed, drawn, count = struct.unpack("<QQI", _read_exact(src, 20))
         base = config if config is not None else Config()
-        cfg = replace(base, dim=codebook.dim, moduli=tuple(codebook.moduli))
-        (count,) = struct.unpack("<I", read_exact(src, 4))
-        sess = cls.__new__(cls)
-        sess._setup(cfg, _Stream(codebook, np.random.default_rng((cfg.seed, count))))
+        try:
+            cfg = replace(base, dim=dim, moduli=moduli, seed=seed)
+            entries = _read_entries(src, count, dim, drawn)
+            sess = cls(cfg)
+        except (ConfigError, InvalidModuliError, UnicodeDecodeError) as exc:
+            # a bad key, or a name that is not UTF-8
+            raise SessionIOError(f"malformed session file: {exc}") from None
         envs = sess.environments
         try:
-            for _ in range(count):
-                (name_len,) = struct.unpack("<I", read_exact(src, 4))
-                name = read_exact(src, name_len).decode("utf-8")
-                vec = read_vector(src, cfg.dim)
+            for name, payload in entries:
                 prefix, _, rest = name.partition(":")
-                bound = _MODULUS_BOUND.get(prefix)
-                if bound is not None and not np.abs(vec).max() <= bound + _UNIT_TOL:
-                    raise SessionIOError(
-                        f"session entry {name!r} has a component beyond "
-                        f"modulus {bound:g}"
-                    )
-                if prefix in ("symbol", "pointer", "role", "env"):
-                    if not np.abs(np.abs(vec) - 1.0).max() <= _UNIT_TOL:
-                        raise SessionIOError(
-                            f"session entry {name!r} is not a unit phasor"
-                        )
-                    sess.memory.add(rest, vec, kind=prefix)
+                if prefix in _ROW_KINDS:
+                    sess._drawn = payload
+                    sess._mint(rest, prefix)
                     if prefix == "env":
                         env = envs[rest] = Environment()
                         env.handle = rest
+                elif prefix == "chunk" and rest.startswith(f"{_SPINE}-"):
+                    # a spine cell's chunk stays with the session
+                    if sess.memory.kind(rest) != "pointer" or rest in sess._spine:
+                        raise ValueError(f"{name!r} is no spine cell's one chunk")
+                    sess._spine[rest] = payload
                 elif prefix == "chunk":
-                    sess.memory.attach_chunk(rest, vec)
+                    sess.memory.attach_chunk(rest, payload)
                 elif prefix == "parent":
                     handle, _, parent = rest.partition(":")
-                    envs[handle].parent = envs[parent]
-                elif prefix == "bind":
-                    handle, _, bname = rest.partition(":")
-                    envs[handle].define(bname, vec)
+                    env, scope = envs[handle], envs[parent]
+                    while scope is not None:
+                        if scope is env:
+                            raise ValueError(f"{name!r} closes a loop of scopes")
+                        scope = scope.parent
+                    env.parent = envs[parent]
                 else:
-                    raise SessionIOError(f"unknown session entry {name!r}")
+                    handle, _, bname = rest.partition(":")
+                    envs[handle].define(bname, payload)
             for name in sess.memory.names(kind="pointer"):
-                sess.memory.chunk(name)  # every pointer names a stored chunk
+                sess._chunk(name)  # every pointer names a stored chunk
         except (KeyError, ValueError) as exc:
-            # a name that is not UTF-8 (a ValueError), is stored twice, or
-            # refers to an entry the file does not hold
+            # a name stored twice, or one that refers to an entry the file
+            # does not hold
             raise SessionIOError(f"malformed session entry: {exc}") from None
-        for name, kind in ((_INT_NAME, "symbol"), *_DRAWN):
-            if name not in sess.memory or sess.memory.kind(name) != kind:
-                raise SessionIOError(f"session file lacks the {kind} {name!r}")
-        if sess.memory.vector(_INT_NAME).tobytes() != codebook.tag.tobytes():
-            raise SessionIOError("session file holds two different integer tags")
-        sess.global_env = sess.environments[_GLOBAL]
+        sess._drawn = drawn
         return sess
+
+
+def _read_entries(
+    src: IO[bytes], count: int, dim: int, drawn: int
+) -> list[tuple[str, int | np.ndarray | None]]:
+    """The ``count`` names and payloads of a session file, the positions
+    and vectors checked as ``Session.restore`` says."""
+    if drawn < len(_DRAWN):
+        raise SessionIOError(
+            f"session file's draw counter {drawn} is below the "
+            f"{len(_DRAWN)} bootstrap draws"
+        )
+    taken = set(range(len(_DRAWN)))
+    entries = []
+    for _ in range(count):
+        (length,) = struct.unpack("<I", _read_exact(src, 4))
+        name = _read_exact(src, length).decode("utf-8")
+        prefix = name.partition(":")[0]
+        bound = _MODULUS_BOUND.get(prefix)
+        if prefix in _ROW_KINDS:
+            (payload,) = struct.unpack("<Q", _read_exact(src, 8))
+            if payload >= drawn or payload in taken:
+                raise SessionIOError(
+                    f"session entry {name!r} takes stream position {payload}, "
+                    f"taken or not below the draw counter {drawn}"
+                )
+            taken.add(payload)
+        elif bound is not None:
+            # a copy, so the bytes read are freed at once: held as views, they
+            # miss the slightly smaller buffers that freed vectors leave, and
+            # a repl benchmark round trip took 2-7 MB more resident memory
+            payload = np.frombuffer(_read_exact(src, 16 * dim), dtype="<c16").copy()
+            # NaN and infinity fail the test too; abs warns on no part
+            if not np.abs(payload).max() <= bound + _UNIT_TOL:
+                raise SessionIOError(
+                    f"session entry {name!r} has a component beyond "
+                    f"modulus {bound:g}"
+                )
+        elif prefix == "parent":
+            payload = None
+        else:
+            raise SessionIOError(f"unknown session entry {name!r}")
+        entries.append((name, payload))
+    return entries
+
+
+#: Largest single read from a session file.  Reading in bounded pieces
+#: means a corrupt length or dim can never allocate more than the file
+#: actually holds.
+_READ_CHUNK = 1 << 20
+
+
+def _read_exact(src: IO[bytes], n: int) -> bytes:
+    """Exactly ``n`` bytes from ``src``; a short read raises ``SessionIOError``."""
+    parts = []
+    while n > 0:
+        part = src.read(min(n, _READ_CHUNK))
+        if not part:
+            raise SessionIOError("truncated session file")
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)

@@ -41,8 +41,8 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 def storable(x: np.ndarray) -> bool:
     """Whether every component of ``x`` is finite and within float32 range,
-    the rule for a vector memory stores or a session file holds; a complex
-    ``x`` is judged by its real and imaginary parts."""
+    the rule for a vector memory stores; a complex ``x`` is judged by its
+    real and imaginary parts."""
     if np.iscomplexobj(x):
         return storable(x.real) and storable(x.imag)
     # the maximum of an array holding NaN is NaN, which fails the test too

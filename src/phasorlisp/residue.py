@@ -16,12 +16,10 @@ reassembling the residues through the Chinese Remainder Theorem.
 from __future__ import annotations
 
 import math
-import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
-from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,10 +29,8 @@ from .errors import (
     DimensionError,
     InvalidModuliError,
     NoInverseError,
-    SessionIOError,
 )
 from .fhrr import bind, phase_angles, random_symbol, similarities, similarity
-from .memory import storable
 from .resonator import (
     ColumnClasses,
     FactorBooks,
@@ -56,13 +52,8 @@ __all__ = [
     "decode_residue",
     "nearest_code",
     "crt_reconstruct",
-    "save_codebook",
-    "load_codebook",
-    "CODEBOOK_MAGIC",
     "DECODE_METHODS",
 ]
-
-CODEBOOK_MAGIC = b"RHC1"
 
 #: The integer readouts ``decode_residue`` offers.
 DECODE_METHODS = ("exhaustive", "resonator")
@@ -374,87 +365,3 @@ def crt_reconstruct(residues: Sequence[int], moduli: ModuliSet) -> int:
         n_i = total // m
         x += r * n_i * pow(n_i, -1, m)
     return x % total
-
-
-def save_codebook(cb: ResidueCodebook, dest: IO[bytes] | str | Path) -> None:
-    """Write the codebook in its binary file format.
-
-    Layout: magic ``RHC1``; little-endian u32 dim, u32 modulus count, u32
-    per modulus; then the phase table as row-major float64 and the tag
-    vector as interleaved re/im float64.
-    """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "wb") as fh:
-            save_codebook(cb, fh)
-        return
-    n = len(cb.moduli)
-    dest.write(CODEBOOK_MAGIC)
-    dest.write(struct.pack(f"<II{n}I", cb.dim, n, *cb.moduli))
-    dest.write(np.ascontiguousarray(cb.phases, dtype="<f8").tobytes())
-    write_vector(dest, cb.tag)
-
-
-def write_vector(dest: IO[bytes], v: np.ndarray) -> None:
-    """Write ``v`` as interleaved little-endian re/im float64."""
-    buf = np.empty(2 * v.shape[0], dtype="<f8")
-    buf[0::2] = v.real
-    buf[1::2] = v.imag
-    dest.write(buf.tobytes())
-
-
-#: Largest single read from a session stream.  Reading in bounded pieces
-#: means a corrupt length prefix can never allocate more than the stream
-#: actually holds.
-_READ_CHUNK = 1 << 20
-
-
-def read_exact(src: IO[bytes], n: int) -> bytes:
-    """Exactly ``n`` bytes from ``src``; a short read raises ``SessionIOError``."""
-    parts = []
-    while n > 0:
-        part = src.read(min(n, _READ_CHUNK))
-        if not part:
-            raise SessionIOError("truncated session file")
-        parts.append(part)
-        n -= len(part)
-    return b"".join(parts)
-
-
-def _read_floats(src: IO[bytes], n: int) -> np.ndarray:
-    """``n`` little-endian float64s, each finite within float32 range."""
-    raw = np.frombuffer(read_exact(src, 8 * n), dtype="<f8")
-    if not storable(raw):
-        raise SessionIOError("session file holds a non-finite or huge component")
-    return raw
-
-
-def read_vector(src: IO[bytes], dim: int) -> np.ndarray:
-    """Read a vector written by ``write_vector``."""
-    raw = _read_floats(src, 2 * dim)
-    return raw[0::2] + 1j * raw[1::2]
-
-
-def load_codebook(src: IO[bytes] | str | Path) -> ResidueCodebook:
-    """Read a codebook written by ``save_codebook``."""
-    if isinstance(src, (str, Path)):
-        with open(src, "rb") as fh:
-            return load_codebook(fh)
-    magic = read_exact(src, 4)
-    if magic != CODEBOOK_MAGIC:
-        raise SessionIOError(f"bad codebook magic {magic!r}")
-    dim, n = struct.unpack("<II", read_exact(src, 8))
-    if dim < 1 or n < 1:
-        raise SessionIOError(f"bad codebook shape {n} x {dim}")
-    ms = struct.unpack(f"<{n}I", read_exact(src, 4 * n))
-    try:
-        moduli = ModuliSet(ms)
-    except InvalidModuliError as exc:
-        raise SessionIOError(f"bad codebook moduli: {exc}") from None
-    phases = _read_floats(src, n * dim)
-    tag = read_vector(src, dim)
-    return ResidueCodebook(
-        moduli=moduli,
-        dim=dim,
-        phases=phases.reshape(n, dim).astype(np.float64),
-        tag=tag,
-    )

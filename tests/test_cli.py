@@ -7,8 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from fuzz_restore import saved_file
-
 #: Address-space limit for cases that allocate more than any machine has:
 #: without it such an allocation may succeed lazily and exhaust memory.
 MEMORY_LIMIT = 1536 << 20
@@ -251,15 +249,17 @@ def test_negative_seed_exits_2(tmp_path):
 
 
 # Session file layout at the CLI defaults (dim 1000, moduli 3,5,7): the
-# codebook block, the entry count, then the first entry, which is always
-# the integer tag stored as "symbol:int".
+# magic, dim and modulus count, then the rest of the key (the moduli, the
+# seed and the draw counter), the entry count, and the first entry, which
+# here is the row of the list's last cell, named by its stream position.
 DIM, N_MODULI = 1000, 3
-HEADER_END = 4 + 8 + 4 * N_MODULI
-PHASES_END = HEADER_END + 8 * N_MODULI * DIM
-TAG_END = PHASES_END + 16 * DIM
-COUNT_END = TAG_END + 4
+HEADER_END = 4 + 8
+KEY_END = HEADER_END + 4 * N_MODULI + 8 + 8
+COUNT_END = KEY_END + 4
 NAME_LEN_END = COUNT_END + 4
-NAME_END = NAME_LEN_END + len(b"symbol:int")
+FIRST = b"pointer:cell-0"
+NAME_END = NAME_LEN_END + len(FIRST)
+POSITION_END = NAME_END + 8
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +270,8 @@ def saved_session(tmp_path_factory):
     )
     assert code == 0
     data = path.read_bytes()
-    assert data[NAME_LEN_END:NAME_END] == b"symbol:int"
+    assert data[:4] == b"RHC2"
+    assert data[NAME_LEN_END:NAME_END] == FIRST
     return data
 
 
@@ -282,34 +283,39 @@ def _run_with_session(tmp_path, data, **kwargs):
     return cli("--session", str(sess), "run", str(script), **kwargs)
 
 
+def _assert_io_error(result):
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:io:")
+    assert "Traceback" not in err
+    return err
+
+
 @pytest.mark.parametrize(
     "cut",
     [
         pytest.param(2, id="magic"),
         pytest.param(10, id="header"),
-        pytest.param(40, id="phases"),
-        pytest.param(PHASES_END + 5, id="tag"),
-        pytest.param(TAG_END + 2, id="count"),
+        pytest.param(HEADER_END + 20, id="key"),
+        pytest.param(KEY_END + 2, id="count"),
         pytest.param(COUNT_END + 1, id="name-length"),
         pytest.param(NAME_LEN_END + 3, id="name"),
-        pytest.param(NAME_END + 7, id="vector"),
+        pytest.param(NAME_END + 5, id="position"),
+        pytest.param(None, id="vector"),
         pytest.param(-5, id="last-vector"),
     ],
 )
 def test_truncated_session_file_exits_2(saved_session, tmp_path, cut):
-    code, out, err = _run_with_session(tmp_path, saved_session[:cut])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("ERROR:io:")
+    if cut is None:  # inside the first vector, which is cell-0's chunk
+        cut = saved_session.index(b"chunk:cell-0") + len(b"chunk:cell-0") + 7
+    _assert_io_error(_run_with_session(tmp_path, saved_session[:cut]))
 
 
 def test_session_name_that_is_not_utf8_exits_2(saved_session, tmp_path):
     data = bytearray(saved_session)
     data[NAME_LEN_END:NAME_LEN_END + 2] = b"\xff\xfe"
-    code, out, err = _run_with_session(tmp_path, bytes(data))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("ERROR:io:")
+    _assert_io_error(_run_with_session(tmp_path, bytes(data)))
 
 
 def test_session_file_with_a_chunk_stored_twice_exits_2(
@@ -319,17 +325,14 @@ def test_session_file_with_a_chunk_stored_twice_exits_2(
     start = saved_session.index(key) - 4
     assert saved_session.count(key) == 1
     entry = saved_session[start:start + 4 + len(key) + 16 * DIM]
-    (count,) = struct.unpack("<I", saved_session[TAG_END:COUNT_END])
+    (count,) = struct.unpack("<I", saved_session[KEY_END:COUNT_END])
     data = (
-        saved_session[:TAG_END]
+        saved_session[:KEY_END]
         + struct.pack("<I", count + 1)
         + saved_session[COUNT_END:]
         + entry
     )
-    code, out, err = _run_with_session(tmp_path, data)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("ERROR:io:")
+    _assert_io_error(_run_with_session(tmp_path, data))
 
 
 @pytest.mark.parametrize("modulus", [1, 10])
@@ -338,10 +341,7 @@ def test_session_file_with_bad_moduli_exits_2(saved_session, tmp_path, modulus):
     # and 10 shares a factor with the 5 after it
     data = bytearray(saved_session)
     data[12:16] = struct.pack("<I", modulus)
-    code, out, err = _run_with_session(tmp_path, bytes(data))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("ERROR:io:")
+    _assert_io_error(_run_with_session(tmp_path, bytes(data)))
 
 
 def test_session_file_with_a_modulus_too_large_to_decode_exits_2(
@@ -358,40 +358,79 @@ def test_session_file_with_a_modulus_too_large_to_decode_exits_2(
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e300])
-@pytest.mark.parametrize("entry", [b"symbol:t", None], ids=["vector", "phase"])
+@pytest.mark.parametrize("entry", [b"bind:env-0:xs"], ids=["vector"])
 def test_session_file_with_a_corrupt_component_exits_2(
     saved_session, tmp_path, entry, value
 ):
     data = bytearray(saved_session)
-    if entry is None:
-        at = HEADER_END  # the first phase
-    else:
-        key = struct.pack("<I", len(entry)) + entry
-        assert data.count(key) == 1
-        at = data.index(key) + len(key)
-    data[at:at + 8] = struct.pack("<d", value)
-    code, out, err = _run_with_session(tmp_path, bytes(data))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("ERROR:io:")
-
-
-def test_session_file_with_a_row_that_is_not_a_unit_phasor_exits_2(
-    saved_session, tmp_path
-):
-    # 6.5e4 lies within float32 range, so only the unit-phasor check
-    # rejects it (tests/test_lisp.py tries each kind of row); the CLI's
-    # timeout bounds the run
-    data = bytearray(saved_session)
-    entry = b"pointer:cell-0"
     key = struct.pack("<I", len(entry)) + entry
     assert data.count(key) == 1
     at = data.index(key) + len(key)
-    data[at:at + 8] = struct.pack("<d", 6.5e4)
-    code, out, err = _run_with_session(tmp_path, bytes(data))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("ERROR:io:")
+    data[at:at + 8] = struct.pack("<d", value)
+    _assert_io_error(_run_with_session(tmp_path, bytes(data)))
+
+
+def test_a_session_file_of_the_old_format_exits_2(saved_session, tmp_path):
+    # RHC1 files held the codebook and every row as floats
+    err = _assert_io_error(
+        _run_with_session(tmp_path, b"RHC1" + saved_session[4:])
+    )
+    assert "RHC1" in err and "RHC2" in err
+
+
+@pytest.mark.parametrize("past", [0, 1, 2**63], ids=["at", "past", "far-past"])
+def test_a_position_at_or_past_the_draw_counter_exits_2(
+    saved_session, tmp_path, past
+):
+    data = bytearray(saved_session)
+    (drawn,) = struct.unpack("<Q", data[KEY_END - 8:KEY_END])
+    data[NAME_END:POSITION_END] = struct.pack("<Q", drawn + past)
+    err = _assert_io_error(_run_with_session(tmp_path, bytes(data)))
+    assert "draw counter" in err
+
+
+@pytest.mark.parametrize("taken", ["bootstrap", "row"])
+def test_a_position_another_row_takes_exits_2(saved_session, tmp_path, taken):
+    # position 2 is nil's; the second row's entry follows the first
+    data = bytearray(saved_session)
+    if taken == "bootstrap":
+        position = struct.pack("<Q", 2)
+    else:
+        (length,) = struct.unpack_from("<I", data, POSITION_END)
+        at = POSITION_END + 4 + length
+        position = data[at:at + 8]
+    data[NAME_END:POSITION_END] = position
+    err = _assert_io_error(_run_with_session(tmp_path, bytes(data)))
+    assert "taken" in err
+
+
+@pytest.mark.parametrize("dim", [65_792, 4_194_304, 16_777_216])
+def test_a_session_file_with_a_mutated_dim_exits_2_without_allocating(
+    saved_session, tmp_path, dim
+):
+    # every vector's length follows from dim, and the whole file is read
+    # before a codebook or row is built, so the first chunk runs short
+    data = bytearray(saved_session)
+    data[4:8] = struct.pack("<I", dim)
+    err = _assert_io_error(
+        _run_with_session(tmp_path, bytes(data), limit_memory=True)
+    )
+    assert "truncated" in err
+
+
+def test_a_session_file_keeps_its_seed(tmp_path):
+    path = tmp_path / "seeded.vls"
+    code, _, _ = cli(
+        "--seed", "7", "--session", str(path), "repl",
+        stdin="(define xs (quote (a b)))\n",
+    )
+    assert code == 0
+    code, out, err = cli(
+        "--verbose", "--session", str(path), "repl", stdin="(cdr xs)\n"
+    )
+    assert code == 0
+    assert out == "(b)\n"
+    assert "seed=7" in err
 
 
 @pytest.mark.parametrize(
@@ -436,25 +475,6 @@ def test_a_mutated_session_file_restores_or_raises_a_phasor_error():
     assert report["escaped"] == []
     assert report["wrong"] == []
     assert report["slowest"] < 2.0
-
-
-def test_a_session_file_whose_codebook_tag_differs_from_its_int_row_exits_2(
-    tmp_path,
-):
-    # case 1149 of the restore fuzz at seed 1: one byte of the codebook's
-    # tag makes the imaginary part of component 36 about 2.8e38, within
-    # float32 range; unchecked, xs printed (35 35 35)
-    data = bytearray(saved_file())
-    assert data[6759] == 0x3F
-    data[6759] = 0x47
-    sess = tmp_path / "fuzzed.vls"
-    sess.write_bytes(bytes(data))
-    script = tmp_path / "prog.vl"
-    script.write_text("xs\n")
-    code, out, err = cli("--session", str(sess), "run", str(script))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("ERROR:io:")
 
 
 def test_deep_recursion_reports_depth_and_keeps_the_session():

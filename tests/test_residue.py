@@ -15,14 +15,12 @@ from phasorlisp import (
     crt_reconstruct,
     decode_residue,
     encode_residue,
-    load_codebook,
     make_codebook,
     mod_inverse,
     mul_bind,
     negate,
     new_rng,
     random_symbol,
-    save_codebook,
 )
 
 from oracles import crt_scan, inverse_mod, xgcd
@@ -311,21 +309,6 @@ def test_xgcd_oracle_self_check():
         g, s, t = xgcd(a, b)
         assert g == math.gcd(a, b)
         assert s * a + t * b == g
-
-
-# -- persistence -------------------------------------------------------
-
-
-def test_codebook_save_load_roundtrip(cb, tmp_path):
-    path = tmp_path / "book.rhc"
-    save_codebook(cb, path)
-    loaded = load_codebook(path)
-    assert list(loaded.moduli) == list(cb.moduli)
-    assert loaded.dim == cb.dim
-    assert np.array_equal(loaded.phases, cb.phases)
-    assert np.array_equal(loaded.tag, cb.tag)
-    v = encode_residue(cb, 77)
-    assert decode_residue(loaded, v) == 77
 
 
 def _small_codebook():

@@ -122,17 +122,19 @@ class SpineKept(Session):
 class FreshSpine(Session):
     """Draws a fresh vector for every spine cell, from a generator of its
     own set to the session's stream position, where a session takes the
-    row of its stream; it discards the vector of a cell a form takes
-    again, where a session skips that position."""
+    row of its stream, and records the position of each cell it stores;
+    it discards the vector of a cell a form takes again, where a session
+    skips that position."""
 
     def _spine_pointer(self, name):
         rng = np.random.default_rng(0)
         rng.bit_generator.state = self._stream.state
         rng.bit_generator.advance(self._drawn * self.config.dim)
         pointer = random_symbol(rng, self.config.dim)
-        self._drawn += 1
         if name not in self._spine:
+            self._positions[name] = self._drawn
             self.memory.add(name, pointer, kind="pointer")
+        self._drawn += 1
         return self.memory.vector(name)
 
 
@@ -296,6 +298,33 @@ def test_a_one_form_script_is_unchanged_by_the_pool_at_any_dim(source, dim):
         assert _run(Session, [source], source, config=config) == _run(
             FreshSpine, [source], source, config=config
         )
+
+
+@pytest.mark.parametrize("dim", [1000, 256, 128])
+@pytest.mark.parametrize("workload", ["programs", "lists", "repl"])
+def test_a_session_restored_halfway_prints_and_saves_what_an_unsaved_one_does(
+    workload, dim
+):
+    # The restored session takes its key's stream, holds the spine cells,
+    # and goes on from the saved draw counter, so it mints the rows the
+    # unsaved session mints.
+    sources, check = _plan_sources(workload)
+    config = Config(dim=dim)
+    if dim == 1000:
+        printed, saved, _ = _reference(sources, check)[0]
+    else:
+        printed, saved, _ = _run(Session, sources, check, config=config)
+    half = len(sources) // 2
+    first = Session(config)
+    split = _transcript(first, sources[:half])
+    buf = io.BytesIO()
+    first.save(buf)
+    restored = Session.restore(io.BytesIO(buf.getvalue()))
+    split += _transcript(restored, sources[half:])
+    buf = io.BytesIO()
+    restored.save(buf)
+    assert split == printed
+    assert buf.getvalue() == saved
 
 
 def test_repeated_spines_keep_repl_recalls_down():
