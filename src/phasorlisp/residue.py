@@ -58,8 +58,8 @@ __all__ = [
 #: The integer readouts ``decode_residue`` offers.
 DECODE_METHODS = ("exhaustive", "resonator")
 
-#: Most readings one codebook keeps; the oldest goes first.  A key holds a
-#: whole vector's bytes (16 KB at dim 1000).
+#: Most readings one codebook keeps; the least recently used goes first.  A
+#: key holds a whole vector's bytes (16 KB at dim 1000).
 DECODE_MEMO_SIZE = 64
 
 
@@ -264,10 +264,10 @@ def decode_residue(
 
     A reading is a pure function of the codebook, ``method`` and the exact
     bytes of ``v`` (restarts draw from fixed seeds, never from a caller's
-    generator), so the codebook keeps the last ``DECODE_MEMO_SIZE``
-    successful readings under the key (method, dtype, bytes) and answers a
-    bit-identical repeat without decoding again.  A failure is not kept:
-    it raises afresh each time.
+    generator), so the codebook keeps ``DECODE_MEMO_SIZE`` successful
+    readings under the key (method, dtype, bytes) and answers a
+    bit-identical repeat without decoding again; the least recently used
+    reading goes first.  A failure is not kept: it raises afresh each time.
     """
     if v.shape[0] != cb.dim:
         raise DimensionError(
@@ -275,11 +275,12 @@ def decode_residue(
         )
     memo = cb._decoded
     key = (method, v.dtype.str, v.tobytes())
-    x = memo.get(key)
+    x = memo.pop(key, None)
     if x is None:
-        x = memo[key] = _decode(cb, v, method)
-        if len(memo) > DECODE_MEMO_SIZE:
+        x = _decode(cb, v, method)
+        if len(memo) >= DECODE_MEMO_SIZE:
             del memo[next(iter(memo))]
+    memo[key] = x
     return x
 
 

@@ -354,7 +354,7 @@ def test_near_ties_on_rows_with_an_empty_second_half_go_to_the_float64_winner():
 
 
 def test_a_clean_winner_is_recalled_from_the_first_half_of_the_scan():
-    # Poisoning the second half of every other scan row with NaN leaves
+    # Poisoning the tail block of every other scan row with NaN leaves
     # recall's answer alone only if it never reads those columns.
     dim = 1000
     gen = np.random.default_rng(7)
@@ -367,10 +367,39 @@ def test_a_clean_winner_is_recalled_from_the_first_half_of_the_scan():
     query = unbind(chunk, roles[0])  # a10 plus two crosstalk terms
     winner = mem._index["a10"]
     others = np.arange(len(mem)) != winner
-    mem._scan[np.flatnonzero(others), dim // 2:] = np.nan
+    mem._tail[np.flatnonzero(others)] = np.nan
     hit = mem.recall(query)
     assert hit.name == "a10"
     assert hit.similarity == similarity(atoms[10], query)
+
+
+def test_a_one_row_range_follows_the_float64_kernel_at_its_bar():
+    """A range of one row is scored by ``similarity`` alone: its score
+    comes back for a bar at it or one ulp below, and -inf one ulp above;
+    a NaN query matches nothing, as over a longer range."""
+    gen = np.random.default_rng(5)
+    for dim in (1, 2, 3, 257, 1000):
+        mem = CleanupMemory(dim)
+        rows = [random_symbol(gen, dim) for _ in range(3)]
+        for i, v in enumerate(rows):
+            mem.add(f"r{i}", v)
+            query = v + random_symbol(gen, dim) * 0.8
+            s = similarity(v, query)
+            assert mem.best_since(query, i) == s
+            assert mem.best_since(query, i, s) == s
+            assert mem.best_since(query, i, np.nextafter(s, -np.inf)) == s
+            assert mem.best_since(query, i, np.nextafter(s, np.inf)) == -np.inf
+        nan = np.full(dim, np.nan, dtype=np.complex128)
+        assert mem.best_since(nan, len(rows) - 1) == -np.inf
+        assert mem.best_since(nan, len(rows) - 1, -np.inf) == -np.inf
+    one = CleanupMemory(D)
+    one.add("only", random_symbol(gen, D))
+    query = one.vector("only") + random_symbol(gen, D)
+    hit = one.recall(query)
+    assert hit.name == "only"
+    assert hit.similarity == similarity(one.vector("only"), query)
+    with pytest.raises(NoMatchError):
+        one.recall(np.full(D, np.nan, dtype=np.complex128))
 
 
 # -- environments ------------------------------------------------------

@@ -230,6 +230,29 @@ def test_decode_memo_keeps_readings_only_and_at_most_its_bound():
     assert kept == [v.tobytes() for v in codes[8:]]
 
 
+def test_a_reading_used_between_new_decodes_is_never_decoded_again(monkeypatch):
+    import phasorlisp.residue
+    from phasorlisp.residue import DECODE_MEMO_SIZE
+
+    fresh = _fresh_codebook()
+    decodes = []
+    real = phasorlisp.residue._decode
+
+    def counting(*args):
+        decodes.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(phasorlisp.residue, "_decode", counting)
+    hot = encode_residue(fresh, 0)
+    assert decode_residue(fresh, hot) == 0
+    # a memo that forgot the oldest reading, not the least recently used,
+    # would drop ``hot`` at the last of these new decodes
+    for x in range(1, DECODE_MEMO_SIZE + 1):
+        assert decode_residue(fresh, encode_residue(fresh, x)) == x
+        assert decode_residue(fresh, hot) == 0
+        assert len(decodes) == x + 1
+
+
 # -- arithmetic homomorphisms ------------------------------------------
 
 
