@@ -458,11 +458,12 @@ class Session:
         """Encode an AST as data, the vector ``quote`` would return, or,
         with ``code``, as a top-level form.
 
-        A list folds right to left into cons cells ending in ``nil``.  A
-        data cell is a fresh ``cell-<n>`` chunk, stored by ``cons``.  In
-        code, the items after the head of a list headed by ``quote`` or
-        ``lambda`` are data: they outlive the form, as the value ``quote``
-        returns and as a closure's parameters and body.  Every other cell
+        A list folds right to left into cons cells ending in ``nil``, or
+        in the list's dotted tail, which is encoded as data.  A data cell
+        is a fresh ``cell-<n>`` chunk, stored by ``cons``.  In code, the
+        items after the head of a list headed by ``quote`` or ``lambda``
+        are data: they outlive the form, as the value ``quote`` returns
+        and as a closure's parameters and body.  Every other cell
         of a form is its *spine*, named ``code-<n>`` in the order it is
         stored.  No value refers to a spine cell once the form ends
         (``define`` returns its symbol and no primitive returns code), so
@@ -486,7 +487,7 @@ class Session:
         items = expr.items
         head = items[0] if items else None
         data = isinstance(head, Atom) and head.name in ("quote", "lambda")
-        v = self.symbol("nil")
+        v = self.symbol("nil") if expr.tail is None else self.encode(expr.tail)
         for i in range(len(items) - 1, -1, -1):
             item = self.encode(items[i], code=code and not (data and i > 0))
             if code:

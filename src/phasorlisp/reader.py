@@ -1,13 +1,24 @@
 """S-expression reader: source text to a small abstract syntax tree.
 
-The surface syntax is minimal Lisp: parenthesized lists, bare atoms,
-signed integer literals, and line comments introduced by ``;``.  The
-empty list ``()`` reads as the atom ``nil``.
+The surface syntax is minimal Lisp 1.5: parenthesized lists, bare atoms,
+signed integer literals, dot notation, and line comments introduced by
+``;``.  The empty list ``()`` reads as the atom ``nil``.  A ``.`` token
+inside a list, after at least one item and before exactly one more,
+gives the list that last item as its tail: ``(a b . c)`` is the chain of
+cells ``a`` and ``b`` ending in ``c`` instead of ``nil``.  A ``.``
+anywhere else is a parse error at its offset; ``a.b``, ``eval.`` and
+``.5`` are one token each and read as symbols.
+
+One generator walks the tokens once and yields each top-level form with
+the index of the token after it, so that ``parse_program`` and
+``parse_one`` share one loop and ``parse_one`` reports the first token it
+does not read.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -54,10 +65,16 @@ class IntLiteral(SExpr):
 
 @dataclass(frozen=True)
 class ListExpr(SExpr):
+    """A list as the reader makes it: one or more items, and ``tail``,
+    what a dotted list ends in, or ``None`` for a proper list, which ends
+    in ``nil``."""
+
     items: tuple[SExpr, ...]
+    tail: SExpr | None = None
 
     def __repr__(self) -> str:
-        return f"ListExpr({list(self.items)!r})"
+        tail = "" if self.tail is None else f", tail={self.tail!r}"
+        return f"ListExpr({list(self.items)!r}{tail})"
 
 
 _TOKEN_RE = re.compile(r"\(|\)|;[^\n]*|[^\s();]+")
@@ -91,65 +108,56 @@ def _atom_from(token: Token) -> SExpr:
     return Atom(token.text)
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token], source_len: int) -> None:
-        self._tokens = tokens
-        self._pos = 0
-        self._source_len = source_len
+def _forms(tokens: list[Token], source_len: int) -> Iterator[tuple[SExpr, int]]:
+    """Each top-level form of ``tokens``, with the index of the token after it.
 
-    def at_end(self) -> bool:
-        return self._pos >= len(self._tokens)
-
-    def _peek(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _next(self) -> Token:
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def expression(self) -> SExpr:
-        """One form.
-
-        Open lists wait on an explicit stack, so nesting depth is bounded
-        by memory rather than by the Python stack.
-        """
-        open_lists: list[list[SExpr]] = []
-        while True:
-            if self.at_end():
-                if open_lists:
-                    raise ParseError("unbalanced parenthesis", self._source_len)
-                raise ParseError("unexpected end of input", self._source_len)
-            tok = self._next()
-            if tok.text == "(":
-                open_lists.append([])
-                continue
-            if tok.text != ")":
-                expr = _atom_from(tok)
-            elif not open_lists:
-                raise ParseError("unexpected )", tok.position)
-            else:
-                items = open_lists.pop()
-                expr = ListExpr(tuple(items)) if items else Atom("nil")
-            if not open_lists:
-                return expr
+    Open lists wait on an explicit stack, so nesting depth is bounded by
+    memory rather than by the Python stack.  A ``.`` after an item opens
+    a frame of its own, headed by its token, which takes the list's tail
+    and leaves the stack with it when the list closes.
+    """
+    open_lists: list[list] = []
+    for i, tok in enumerate(tokens):
+        if tok.text == "(":
+            open_lists.append([])
+            continue
+        if tok.text == ".":
+            # only after an item, in a list that holds no dot yet
+            top = open_lists[-1] if open_lists else None
+            if not top or isinstance(top[0], Token):
+                raise ParseError("unexpected .", tok.position)
+            open_lists.append([tok])
+            continue
+        if tok.text != ")":
+            expr = _atom_from(tok)
+        elif not open_lists:
+            raise ParseError("unexpected )", tok.position)
+        else:
+            items, tail = open_lists.pop(), None
+            if items and isinstance(items[0], Token):
+                if len(items) != 2:
+                    raise ParseError("unexpected .", items[0].position)
+                tail, items = items[1], open_lists.pop()
+            expr = ListExpr(tuple(items), tail) if items else Atom("nil")
+        if open_lists:
             open_lists[-1].append(expr)
+        else:
+            yield expr, i + 1
+    if open_lists:
+        raise ParseError("unbalanced parenthesis", source_len)
 
 
 def parse_program(source: str) -> list[SExpr]:
     """All top-level forms of ``source``, in order."""
-    parser = _Parser(tokenize(source), len(source))
-    forms: list[SExpr] = []
-    while not parser.at_end():
-        forms.append(parser.expression())
-    return forms
+    return [form for form, _ in _forms(tokenize(source), len(source))]
 
 
 def parse_one(source: str) -> SExpr:
     """Exactly one form; trailing tokens are an error."""
-    parser = _Parser(tokenize(source), len(source))
-    expr = parser.expression()
-    if not parser.at_end():
-        tok = parser._peek()
-        raise ParseError(f"trailing token {tok.text!r}", tok.position)
-    return expr
+    tokens = tokenize(source)
+    for form, end in _forms(tokens, len(source)):
+        if end < len(tokens):
+            tok = tokens[end]
+            raise ParseError(f"trailing token {tok.text!r}", tok.position)
+        return form
+    raise ParseError("unexpected end of input", len(source))

@@ -135,6 +135,15 @@ def test_syntax_error_exits_3(tmp_path):
     assert err.startswith("ERROR:parse:")
 
 
+def test_a_stray_dot_exits_3(tmp_path):
+    script = tmp_path / "dot.vl"
+    script.write_text("(cdr (quote (a . b)))\n(quote .)\n")
+    code, out, err = cli("run", str(script))
+    assert code == 3
+    assert out == ""
+    assert err == "ERROR:parse: unexpected . at offset 29\n"
+
+
 def test_an_over_long_literal_exits_3(tmp_path):
     script = tmp_path / "long.vl"
     script.write_text("(+ 1 2)\n(+ 1 " + "7" * 5000 + ")\n")

@@ -22,6 +22,7 @@ from phasorlisp import (
     ModuliSet,
     NoInverseError,
     NotApplicableError,
+    ParseError,
     PhasorError,
     RecursionDepthError,
     Session,
@@ -1037,6 +1038,39 @@ def test_a_cell_that_is_its_own_tail_raises_instead_of_printing_forever(session)
 
 def test_print_dotted_pair(session):
     assert run(session, "(cons (quote a) (quote b))") == "(a . b)"
+
+
+def test_dotted_pairs_read_the_way_they_print(session):
+    # A reader that took `.` for a symbol would print the first four the
+    # same, as proper lists of three or four items; the cdrs below tell
+    # the two readings apart.
+    for source, printed in [
+        ("(quote (a . b))", "(a . b)"),
+        ("(quote (a b . c))", "(a b . c)"),
+        ("(car (quote ((x . 1) (y . 2))))", "(x . 1)"),
+        ("(quote ((a . b) . c))", "((a . b) . c)"),
+        ("(cdr (quote (a . b)))", "b"),
+        ("(cdr (cdr (quote (a b . c))))", "c"),
+        ("(cdr (car (quote ((x . 1) (y . 2)))))", "1"),
+        ("(cdr (quote ((a . b) . c)))", "c"),
+        ("(quote (a . (b c)))", "(a b c)"),
+        ("(quote (a . ()))", "(a)"),
+        ("(eq? (cdr (quote (a . b))) (quote b))", "t"),
+    ]:
+        assert run(session, source) == printed, source
+
+
+def test_a_dotted_list_in_code_position_is_not_a_call(session):
+    with pytest.raises(EvalError, match="expected a proper list"):
+        run(session, "(car . x)")
+    with pytest.raises(EvalError, match="expected a proper list"):
+        run(session, "(lambda (x . y) x)")
+
+
+def test_a_lone_dot_is_no_symbol(session):
+    with pytest.raises(ParseError):
+        list(session.eval_source("(quote .)"))
+    assert "." not in session.memory
 
 
 def test_print_closure(session):

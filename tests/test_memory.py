@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -400,6 +403,64 @@ def test_a_one_row_range_follows_the_float64_kernel_at_its_bar():
     assert hit.similarity == similarity(one.vector("only"), query)
     with pytest.raises(NoMatchError):
         one.recall(np.full(D, np.nan, dtype=np.complex128))
+
+
+def _first_best(rows, query, start, bar):
+    """``_best``'s contract, row by row in float64: the first best row
+    from ``start`` on and its score when it reaches ``bar``."""
+    best, score = -1, -math.inf
+    for i in range(start, len(rows)):
+        s = similarity(rows[i], query)
+        if s > score:
+            best, score = i, s
+    if bar is None:
+        bar = score
+    return (best, score) if score >= bar else (-1, -math.inf)
+
+
+@pytest.mark.parametrize("factor", [1e39, 1e300, 1e-300, 1.0, "nan", "inf"])
+def test_a_query_past_float32_range_follows_the_float64_kernel(factor):
+    """A query 1e39 or 1e300 times a stored row overflows complex64, and
+    one 1e-300 times a row underflows it; each is scanned scaled by a
+    power of two, or row by row when it is not finite, so every answer is
+    the per-row float64 first best and no warning is raised.  NaN- and
+    inf-filled queries match nothing."""
+    answers = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dim in (1, 2, 3, 17, 64, 256, 1000):
+            gen = np.random.default_rng(dim)
+            for n in range(1, 5):
+                mem = CleanupMemory(dim)
+                rows = [random_symbol(gen, dim) for _ in range(n)]
+                for i, v in enumerate(rows):
+                    mem.add(f"r{i}", v)
+                for row in rows:
+                    if isinstance(factor, str):
+                        query = np.full(dim, float(factor), dtype=np.complex128)
+                    else:
+                        query = row * factor
+                    for start in range(n):
+                        for bar in (None, -math.inf, 0.0, 0.5):
+                            got = mem._best(query, start, bar)
+                            assert got == _first_best(rows, query, start, bar)
+                            if isinstance(factor, str):
+                                assert got == (-1, -math.inf)
+                            answers += 1
+    assert answers == 840
+
+
+def test_a_bar_past_float32_range_is_compared_in_float64(mem, rng):
+    # cast to float32 for the comparison, a cut of 256 * 1e39 overflowed
+    rows = [random_symbol(rng, D) for _ in range(3)]
+    for i, v in enumerate(rows):
+        mem.add(f"r{i}", v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bar in (1e39, 1e300, math.inf):
+            assert mem.best_since(rows[1], 0, bar) == -math.inf
+        s = similarity(rows[1], rows[1])
+        assert mem.best_since(rows[1], 0, s) == s
 
 
 # -- environments ------------------------------------------------------

@@ -90,3 +90,98 @@ def test_an_over_long_literal_is_a_parse_error():
     with pytest.raises(ParseError) as info:
         parse_program("(+ 1 " + "7" * 5000 + ")")
     assert info.value.position == 5
+
+
+_DIGITS = "7" * 5000
+
+#: source -> (parse_one's error, parse_program's error or forms), each
+#: error as (message, offset)
+_PINNED = {
+    "": (("unexpected end of input", 0), []),
+    "  ; c\n": (("unexpected end of input", 6), []),
+    "(": (("unbalanced parenthesis", 1), ("unbalanced parenthesis", 1)),
+    "((": (("unbalanced parenthesis", 2), ("unbalanced parenthesis", 2)),
+    ")": (("unexpected )", 0), ("unexpected )", 0)),
+    "a )": (("trailing token ')'", 2), ("unexpected )", 2)),
+    "(a))": (("trailing token ')'", 3), ("unexpected )", 3)),
+    "(a) )": (("trailing token ')'", 4), ("unexpected )", 4)),
+    "(a) (b": (("trailing token '('", 4), ("unbalanced parenthesis", 6)),
+    "(a) b": (
+        ("trailing token 'b'", 4),
+        [ListExpr((Atom("a"),)), Atom("b")],
+    ),
+    "(+ 1 " + _DIGITS + ")": (
+        ("integer literal of 5000 characters is too long", 5),
+        ("integer literal of 5000 characters is too long", 5),
+    ),
+    "(a) " + _DIGITS: (
+        (f"trailing token {_DIGITS!r}", 4),
+        ("integer literal of 5000 characters is too long", 4),
+    ),
+}
+
+
+def _outcome(parse, source):
+    try:
+        return parse(source)
+    except ParseError as exc:
+        return str(exc).removesuffix(f" at offset {exc.position}"), exc.position
+
+
+@pytest.mark.parametrize("source", list(_PINNED), ids=lambda s: repr(s[:12]))
+def test_parse_errors_keep_their_message_and_offset(source):
+    # parse_one stops at the end of its first form: a token after it is
+    # a trailing token, even one that would not parse
+    one, program = _PINNED[source]
+    assert _outcome(parse_one, source) == one
+    assert _outcome(parse_program, source) == program
+
+
+def test_dotted_lists_read_with_their_tail():
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    assert parse_one("(a . b)") == ListExpr((a,), tail=b)
+    assert parse_one("(a b . c)") == ListExpr((a, b), tail=c)
+    assert parse_one("(x . 1)") == ListExpr((Atom("x"),), tail=IntLiteral(1))
+    assert parse_one("((a . b) . (c))") == ListExpr(
+        (ListExpr((a,), tail=b),), tail=ListExpr((c,))
+    )
+    assert parse_one("(a b)") == ListExpr((a, b)) == ListExpr((a, b), tail=None)
+    assert repr(parse_one("(a . b)")) == "ListExpr([Atom('a')], tail=Atom('b'))"
+
+
+def test_a_dot_inside_a_token_is_part_of_a_symbol():
+    assert parse_one("a.b") == Atom("a.b")
+    assert parse_one("eval.") == Atom("eval.")
+    assert parse_one(".5") == Atom(".5")
+    assert parse_one("(a .b)") == ListExpr((Atom("a"), Atom(".b")))
+
+
+@pytest.mark.parametrize(
+    "source, offset",
+    [
+        (".", 0),
+        ("(quote .)", 7),
+        ("(. a)", 1),
+        ("(a .)", 3),
+        ("(a . b c)", 3),
+        ("(a . . b)", 5),
+        ("(a . b . c)", 7),
+        ("((. a))", 2),
+    ],
+)
+def test_a_stray_dot_is_a_parse_error_at_its_offset(source, offset):
+    for parse in (parse_one, parse_program):
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        assert info.value.position == offset
+        assert str(info.value) == f"unexpected . at offset {offset}"
+
+
+def test_a_dot_between_forms_is_a_parse_error_or_a_trailing_token():
+    assert _outcome(parse_program, "(a) . (b)") == ("unexpected .", 4)
+    assert _outcome(parse_one, "(a) . (b)") == ("trailing token '.'", 4)
+
+
+def test_an_unclosed_dotted_list_is_unbalanced():
+    assert _outcome(parse_program, "(a . b") == ("unbalanced parenthesis", 6)
+

@@ -27,6 +27,7 @@ from phasorlisp import (  # noqa: E402
     PhasorError,
     RecallResult,
     Session,
+    parse_one,
     random_symbol,
     unbind,
 )
@@ -381,3 +382,17 @@ def test_a_closure_at_dim_128_reads_as_a_closure():
     assert _transcript(session, [f.source for f in plan.forms]) == [
         f.expected for f in plan.forms
     ]
+
+
+def test_every_printed_value_reads_back_as_itself():
+    # Each value plan 0 prints at seed 1, the check form's included, is
+    # quoted and printed again in one fresh session; so are the dotted
+    # pairs that no plan prints.
+    texts = {"(a . b)", "(a b . c)", "((x . 1) (y . 2))"}
+    for workload in ("programs", "lists", "repl"):
+        printed, _, checked = _reference(*_plan_sources(workload))[0]
+        texts.update(printed + checked)
+    session = Session()
+    for text in sorted(texts):
+        value = session.eval_expr(parse_one(f"(quote {text})"))
+        assert session.print_value(value) == text
