@@ -138,18 +138,10 @@ class CleanupMemory:
     under the winner.  On a tie the row stored first wins.
 
     The bound assumes that the scan neither overflows nor underflows
-    float32.  A query keeps clear of both while |v| * max(max|m|, 1), a
-    bound on every score and on every component of v, lies in
-    [2**-64, 2**64]; no session query leaves that range (at dim 1000 a
-    session's is about 10**3), but a component beyond float32 range would
-    overflow the cast.  Outside it, the scan reads v' = v * 2**-k instead,
-    k chosen so that sqrt(n) * max|v_k| * max(max|m|, 1) * 2**-k lies in
-    [1/4, 1) and kept within +-1000.  Scaling by a power of two is exact,
-    so the bound holds for v' with |v'|, |v'_t| and b * 2**-k in place of
-    |v|, |v_t| and b; the cut is compared in float64, and the rescoring
-    reads v itself.  A query with no finite nonzero component to scale by
-    (zero, NaN or infinite) is scored row by row with ``similarity``, as
-    a range of one row always is.
+    float32, which holds while |v| * max(max|m|, 1), a bound on every
+    score and on every component of v, lies in [2**-64, 2**64]; a query
+    outside that range (no session builds one) is scored row by row with
+    ``similarity``, as a range of one row always is.
 
     The split is not a tuned knob.  A cons-cell unbinding is its filler
     plus two crosstalk terms, so |v_t| is about sqrt(3t) for t = n - h,
@@ -285,26 +277,16 @@ class CleanupMemory:
         when none does or no row lies past ``start``.  The default bar is
         the first-half leader's score, so some row always reaches it.  See
         the class docstring for the bound that drops rows below the bar,
-        and for the queries scored scaled or row by row.
+        and for the queries scored row by row.
         """
         stored = len(self._names)
         if stored - start < 2:
             return self._first_best(v, range(start, stored), bar)
         h = self._half
         norm = math.sqrt(np.vdot(v, v).real)
-        scaled, scale = v, 1.0
-        reach = max(self._max_norm, 1.0)
-        if not 2.0**-64 <= norm * reach <= 2.0**64:
-            top = float(np.abs(v).max())
-            if not 0 < top < math.inf:
-                return self._first_best(v, range(start, stored), bar)
-            # a power of two, within float64 range, that brings
-            # sqrt(n) * max|v_k| * max(max|m|, 1) into [1/4, 1)
-            k = math.frexp(top)[1] + math.frexp(math.sqrt(self.dim) * reach)[1]
-            scale = 2.0 ** -min(max(k, -1000), 1000)
-            scaled = v * scale
-            norm = math.sqrt(np.vdot(scaled, scaled).real)
-        v32 = scaled.astype(np.complex64)
+        if not 2.0**-64 <= norm * max(self._max_norm, 1.0) <= 2.0**64:
+            return self._first_best(v, range(start, stored), bar)
+        v32 = v.astype(np.complex64)
         # Re(conj(m) v) = Re m Re v + Im m Im v, a dot of float32 views
         f32 = np.float32
         scores = self._head[start:stored].view(f32) @ v32[:h].view(f32)
@@ -313,10 +295,10 @@ class CleanupMemory:
         if bar is None:
             known, bar = lead, similarity(self._rows[lead], v)
         slack = self._slack * self._max_norm * norm
-        tail = self._max_tail * math.sqrt(np.vdot(scaled[h:], scaled[h:]).real)
+        tail = self._max_tail * math.sqrt(np.vdot(v[h:], v[h:]).real)
         # a float64 cut: against float32 scores a Python float would be
         # rounded to float32, and one past its range would overflow
-        cut = np.float64(self.dim * (bar * scale) - tail - slack)
+        cut = np.float64(self.dim * bar - tail - slack)
         kept = np.count_nonzero(scores >= cut)
         if kept == 0:
             return -1, -math.inf

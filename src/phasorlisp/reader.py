@@ -5,7 +5,8 @@ signed integer literals, dot notation, and line comments introduced by
 ``;``.  The empty list ``()`` reads as the atom ``nil``.  A ``.`` token
 inside a list, after at least one item and before exactly one more,
 gives the list that last item as its tail: ``(a b . c)`` is the chain of
-cells ``a`` and ``b`` ending in ``c`` instead of ``nil``.  A ``.``
+cells ``a`` and ``b`` ending in ``c`` instead of ``nil``, and
+``(a . (b c))`` and ``(a . ())`` read as ``(a b c)`` and ``(a)``.  A ``.``
 anywhere else is a parse error at its offset; ``a.b``, ``eval.`` and
 ``.5`` are one token each and read as symbols.
 
@@ -66,8 +67,9 @@ class IntLiteral(SExpr):
 @dataclass(frozen=True)
 class ListExpr(SExpr):
     """A list as the reader makes it: one or more items, and ``tail``,
-    what a dotted list ends in, or ``None`` for a proper list, which ends
-    in ``nil``."""
+    the atom other than ``nil`` a dotted list ends in, or ``None`` for a
+    proper list, which ends in ``nil``.  A dotted tail that is a list or
+    ``nil`` is folded into the items, so one S-expression has one form."""
 
     items: tuple[SExpr, ...]
     tail: SExpr | None = None
@@ -138,6 +140,12 @@ def _forms(tokens: list[Token], source_len: int) -> Iterator[tuple[SExpr, int]]:
                 if len(items) != 2:
                     raise ParseError("unexpected .", items[0].position)
                 tail, items = items[1], open_lists.pop()
+                # one S-expression, one form: (a . (b . c)) is (a b . c),
+                # and (a . nil) is (a)
+                if isinstance(tail, ListExpr):
+                    items, tail = items + list(tail.items), tail.tail
+                elif tail == Atom("nil"):
+                    tail = None
             expr = ListExpr(tuple(items), tail) if items else Atom("nil")
         if open_lists:
             open_lists[-1].append(expr)

@@ -1,7 +1,5 @@
 import os
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 # One BLAS/OpenMP thread, fixed before numpy loads: with more threads than
@@ -19,27 +17,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 import numpy as np
 import pytest
 
-try:
-    from hypothesis.configuration import set_hypothesis_home_dir
-except ImportError:  # only the reader fuzz needs it, and fails alone without it
-    set_hypothesis_home_dir = None
-
 sys.path.insert(0, str(Path(__file__).parent))
 
 from phasorlisp import Config, Session
-
-
-@pytest.hookimpl(tryfirst=True)
-def pytest_configure(config):
-    # Hypothesis writes caches, its Unicode tables and constants taken from
-    # the code under test, to its home directory, .hypothesis in the
-    # working directory by default: keep it out of the checkout, and
-    # remove it when the run ends.
-    if set_hypothesis_home_dir is None:
-        return
-    home = tempfile.mkdtemp(prefix="hypothesis-")
-    set_hypothesis_home_dir(home)
-    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 
 @pytest.fixture

@@ -1060,6 +1060,15 @@ def test_dotted_pairs_read_the_way_they_print(session):
         assert run(session, source) == printed, source
 
 
+def test_a_call_written_with_a_list_after_its_dot_is_the_plain_call(session):
+    # (+ 1 . (2)) reads as (+ 1 2), so its cells are the spine's and
+    # running it again stores no entry
+    assert run(session, "(+ 1 . (2))") == "3"
+    rows = len(session.memory)
+    assert run(session, "(+ 1 . (2))") == "3"
+    assert len(session.memory) == rows
+
+
 def test_a_dotted_list_in_code_position_is_not_a_call(session):
     with pytest.raises(EvalError, match="expected a proper list"):
         run(session, "(car . x)")

@@ -418,13 +418,12 @@ def _first_best(rows, query, start, bar):
     return (best, score) if score >= bar else (-1, -math.inf)
 
 
-@pytest.mark.parametrize("factor", [1e39, 1e300, 1e-300, 1.0, "nan", "inf"])
+@pytest.mark.parametrize("factor", [1e39, 1e300, 1e-300, 0.0, 1.0, "nan", "inf"])
 def test_a_query_past_float32_range_follows_the_float64_kernel(factor):
     """A query 1e39 or 1e300 times a stored row overflows complex64, and
-    one 1e-300 times a row underflows it; each is scanned scaled by a
-    power of two, or row by row when it is not finite, so every answer is
-    the per-row float64 first best and no warning is raised.  NaN- and
-    inf-filled queries match nothing."""
+    one 1e-300 or 0 times a row underflows it; each is scored row by row,
+    so every answer is the per-row float64 first best and no warning is
+    raised.  NaN- and inf-filled queries match nothing."""
     answers = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")

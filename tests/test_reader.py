@@ -142,11 +142,23 @@ def test_dotted_lists_read_with_their_tail():
     assert parse_one("(a . b)") == ListExpr((a,), tail=b)
     assert parse_one("(a b . c)") == ListExpr((a, b), tail=c)
     assert parse_one("(x . 1)") == ListExpr((Atom("x"),), tail=IntLiteral(1))
-    assert parse_one("((a . b) . (c))") == ListExpr(
-        (ListExpr((a,), tail=b),), tail=ListExpr((c,))
-    )
+    assert parse_one("((a . b) . (c))") == ListExpr((ListExpr((a,), tail=b), c))
     assert parse_one("(a b)") == ListExpr((a, b)) == ListExpr((a, b), tail=None)
     assert repr(parse_one("(a . b)")) == "ListExpr([Atom('a')], tail=Atom('b'))"
+
+
+def test_a_list_or_nil_after_a_dot_reads_as_list_notation():
+    for dotted, plain in [
+        ("(a . (b))", "(a b)"),
+        ("(a . (b c))", "(a b c)"),
+        ("(a . (b . c))", "(a b . c)"),
+        ("(a . (b . (c . nil)))", "(a b c)"),
+        ("(a . ())", "(a)"),
+        ("(a . nil)", "(a)"),
+        ("(+ 1 . (2))", "(+ 1 2)"),
+    ]:
+        assert parse_one(dotted) == parse_one(plain), dotted
+    assert parse_one("(a . (b . c))").tail == Atom("c")
 
 
 def test_a_dot_inside_a_token_is_part_of_a_symbol():
