@@ -116,8 +116,8 @@ class Config:
     """Session parameters.
 
     ``decode`` selects the integer readout: ``resonator`` factorizes per
-    modulus and reassembles via the CRT, ``exhaustive`` scans the whole
-    codebook.
+    modulus and reassembles via the CRT, ``exhaustive`` scores every
+    code of the range with one FFT.
     """
 
     dim: int = 1000

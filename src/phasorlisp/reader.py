@@ -110,36 +110,37 @@ def _atom_from(token: Token) -> SExpr:
     return Atom(token.text)
 
 
-def _forms(tokens: list[Token], source_len: int) -> Iterator[tuple[SExpr, int]]:
+def _forms(tokens: list[Token]) -> Iterator[tuple[SExpr, int]]:
     """Each top-level form of ``tokens``, with the index of the token after it.
 
     Open lists wait on an explicit stack, so nesting depth is bounded by
-    memory rather than by the Python stack.  A ``.`` after an item opens
-    a frame of its own, headed by its token, which takes the list's tail
-    and leaves the stack with it when the list closes.
+    memory rather than by the Python stack.  Each frame is headed by the
+    token that opened it: a ``(``, or a ``.`` after an item, whose frame
+    takes the list's tail and leaves the stack with it when the list
+    closes.  Input that ends inside a list reports its innermost open
+    ``(``.
     """
-    open_lists: list[list] = []
+    open_lists: list[tuple[Token, list]] = []
     for i, tok in enumerate(tokens):
-        if tok.text == "(":
-            open_lists.append([])
-            continue
         if tok.text == ".":
             # only after an item, in a list that holds no dot yet
-            top = open_lists[-1] if open_lists else None
-            if not top or isinstance(top[0], Token):
+            head, items = open_lists[-1] if open_lists else (tok, [])
+            if not items or head.text == ".":
                 raise ParseError("unexpected .", tok.position)
-            open_lists.append([tok])
+        if tok.text in ("(", "."):
+            open_lists.append((tok, []))
             continue
         if tok.text != ")":
             expr = _atom_from(tok)
         elif not open_lists:
             raise ParseError("unexpected )", tok.position)
         else:
-            items, tail = open_lists.pop(), None
-            if items and isinstance(items[0], Token):
-                if len(items) != 2:
-                    raise ParseError("unexpected .", items[0].position)
-                tail, items = items[1], open_lists.pop()
+            head, items = open_lists.pop()
+            tail = None
+            if head.text == ".":
+                if len(items) != 1:
+                    raise ParseError("unexpected .", head.position)
+                tail, items = items[0], open_lists.pop()[1]
                 # one S-expression, one form: (a . (b . c)) is (a b . c),
                 # and (a . nil) is (a)
                 if isinstance(tail, ListExpr):
@@ -148,22 +149,23 @@ def _forms(tokens: list[Token], source_len: int) -> Iterator[tuple[SExpr, int]]:
                     tail = None
             expr = ListExpr(tuple(items), tail) if items else Atom("nil")
         if open_lists:
-            open_lists[-1].append(expr)
+            open_lists[-1][1].append(expr)
         else:
             yield expr, i + 1
     if open_lists:
-        raise ParseError("unbalanced parenthesis", source_len)
+        head = next(h for h, _ in reversed(open_lists) if h.text == "(")
+        raise ParseError("unbalanced parenthesis", head.position)
 
 
 def parse_program(source: str) -> list[SExpr]:
     """All top-level forms of ``source``, in order."""
-    return [form for form, _ in _forms(tokenize(source), len(source))]
+    return [form for form, _ in _forms(tokenize(source))]
 
 
 def parse_one(source: str) -> SExpr:
     """Exactly one form; trailing tokens are an error."""
     tokens = tokenize(source)
-    for form, end in _forms(tokens, len(source)):
+    for form, end in _forms(tokens):
         if end < len(tokens):
             tok = tokens[end]
             raise ParseError(f"trailing token {tok.text!r}", tok.position)

@@ -8,9 +8,10 @@ single elementwise multiply, with no carries and no decoding; negation is
 the complex conjugate.  Multiplication decodes one operand and raises the
 other to that power elementwise.
 
-Decoding runs either as an exhaustive scan over all codes in the range or
-by factorizing the vector per modulus with a resonator network and
-reassembling the residues through the Chinese Remainder Theorem.
+Decoding runs either exhaustively, scoring every code in the range at
+once with one FFT, or by factorizing the vector per modulus with a
+resonator network and reassembling the residues through the Chinese
+Remainder Theorem.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     InvalidModuliError,
     NoInverseError,
 )
-from .fhrr import bind, phase_angles, random_symbol, similarities, similarity
+from .fhrr import bind, phase_angles, random_symbol, similarity
 from .resonator import (
     ColumnClasses,
     FactorBooks,
@@ -99,21 +100,22 @@ class ModuliSet:
 
 @dataclass(eq=False)
 class ResidueCodebook:
-    """Per-modulus phase tables and base vectors for integer codes.
+    """Per-modulus exponent tables and base vectors for integer codes.
 
-    ``phases[i]`` holds dim angles, each an exact multiple of 2*pi/m_i,
-    so ``exp(1j * phases[i])`` is the base vector of modulus ``m_i``.
-    ``tag`` is the atomic symbol superposed onto encoded integers by the
-    interpreter to mark their type.  Codebooks are immutable after
-    construction: ``phases`` and ``tag`` are read-only.  What they cache
-    (the column classes, the code matrix, the per-modulus factor
-    codebooks, recent readings) is built on first use and is a pure
-    function of the phase tables, so any number of sessions in one thread
-    may share one, and do: every ``Session`` of one (dim, moduli, seed)
-    in a thread takes the codebook of that thread's start, with whatever
-    tables and readings earlier sessions left on it.  A copy made by
-    ``dataclasses.replace`` shares the tables it is given but starts with
-    empty caches.
+    ``exponents[i]`` holds the dim integers k in 1..m_i that
+    ``make_codebook`` drew for modulus ``m_i``, and ``phases[i]``, derived
+    from them, the angles 2*pi*k/m_i, so ``exp(1j * phases[i])`` is the
+    base vector of ``m_i``.  ``tag`` is the atomic symbol superposed onto
+    encoded integers by the interpreter to mark their type.  Codebooks are
+    immutable after construction: ``exponents``, ``phases`` and ``tag``
+    are read-only.  What they cache (the column classes, each element's
+    frequency, the per-modulus factor codebooks, recent readings) is built
+    on first use and is a pure function of the exponent tables, so any
+    number of sessions in one thread may share one, and do: every
+    ``Session`` of one (dim, moduli, seed) in a thread takes the codebook
+    of that thread's start, with whatever tables and readings earlier
+    sessions left on it.  A copy made by ``dataclasses.replace`` shares the
+    tables it is given but starts with empty caches.
 
     Every code and every factor atom is, at element k, a function of the
     phase column ``phases[:, k]`` alone, and there are at most ``range``
@@ -123,14 +125,15 @@ class ResidueCodebook:
 
     moduli: ModuliSet
     dim: int
-    phases: np.ndarray
+    exponents: np.ndarray
     tag: np.ndarray
+    phases: np.ndarray = field(init=False, repr=False)
     _classes: ColumnClasses | None = field(init=False, repr=False, default=None)
     #: sum of the phase table's rows at the class representatives
     _class_phase_sum: np.ndarray | None = field(
         init=False, repr=False, default=None
     )
-    _candidates: np.ndarray | None = field(init=False, repr=False, default=None)
+    _frequencies: np.ndarray | None = field(init=False, repr=False, default=None)
     _factor_books: FactorBooks | None = field(
         init=False, repr=False, default=None
     )
@@ -140,8 +143,9 @@ class ResidueCodebook:
     )
 
     def __post_init__(self) -> None:
-        self.phases.flags.writeable = False
-        self.tag.flags.writeable = False
+        self.phases = 2.0 * np.pi * self.exponents / np.array([self.moduli.moduli]).T
+        for table in (self.exponents, self.phases, self.tag):
+            table.flags.writeable = False
 
     def classes(self) -> ColumnClasses:
         """The elements grouped by phase column; built on first use."""
@@ -150,22 +154,27 @@ class ResidueCodebook:
             self._class_phase_sum = self.phases[:, self._classes.reps].sum(axis=0)
         return self._classes
 
-    def candidates(self) -> np.ndarray:
-        """(range, dim) matrix of every integer code; built once, cached."""
-        if self._candidates is None:
-            of = self.classes().of
-            with self._table(self.moduli.range):
-                xs = np.arange(self.moduli.range)
-                codes = np.exp(1j * np.outer(xs, self._class_phase_sum))
-                self._candidates = codes[:, of]
-        return self._candidates
+    def frequencies(self) -> np.ndarray:
+        """Each element's c_k, where code(x) is exp(2j*pi*x*c/range).
+
+        c_k is the sum over moduli of exponents[i, k] * range / m_i, mod
+        range, summed in Python integers so that no product overflows,
+        and built on first use.  A range past int64 raises
+        ``OverflowError``.
+        """
+        if self._frequencies is None:
+            ks, r = self.exponents.astype(object), self.moduli.range
+            c = sum(k * (r // m) for k, m in zip(ks, self.moduli)) % r
+            self._frequencies = c.astype(np.int64)
+        return self._frequencies
 
     def factor_codebooks(self) -> FactorBooks:
         """One codebook per modulus: the codes of its residues 0..m-1."""
         if self._factor_books is None:
             classes = self.classes()
             books = []
-            with self._table(sum(self.moduli)):
+            rows = sum(self.moduli)
+            with self._table(f"a {rows} x {self.dim} factor table", rows * self.dim):
                 for i, m in enumerate(self.moduli):
                     rs = np.arange(m)
                     phases = self.phases[i, classes.reps]
@@ -175,35 +184,33 @@ class ResidueCodebook:
         return self._factor_books
 
     @contextmanager
-    def _table(self, rows: int) -> Iterator[None]:
-        """Report a decode table of ``rows`` codes that cannot be allocated."""
+    def _table(self, what: str, entries: int) -> Iterator[None]:
+        """Report a decode table of ``entries`` phasors as a ``ConfigError``
+        when it cannot be built: out of memory, or a size past an array's."""
         try:
             yield
-        except MemoryError:
+        except (MemoryError, OverflowError, ValueError):
             raise ConfigError(
-                f"moduli {','.join(map(str, self.moduli))} at dim {self.dim} "
-                f"need a {rows} x {self.dim} decode table "
-                f"({16 * rows * self.dim / 2**30:.1f} GiB), more than memory allows"
+                f"moduli {','.join(map(str, self.moduli))} at dim {self.dim} need "
+                f"{what} ({16 * entries / 2**30:.3g} GiB), more than memory allows"
             ) from None
 
 
 def make_codebook(
     moduli: ModuliSet, dim: int, rng: np.random.Generator
 ) -> ResidueCodebook:
-    """Sample fresh per-modulus phase tables and a fresh type tag.
+    """Sample fresh per-modulus exponent tables and a fresh type tag.
 
-    For each modulus m every one of the ``dim`` angles is drawn uniformly
-    from {2*pi*k/m : k = 1..m}, so every base element is an exact m-th
-    root of unity and the codes repeat with period ``moduli.range``.
+    For each modulus m every one of the ``dim`` exponents k is drawn
+    uniformly from 1..m, making the angle 2*pi*k/m, so every base element
+    is an exact m-th root of unity and the codes repeat with period
+    ``moduli.range``.
     """
     if dim < 1:
         raise DimensionError(f"dimension must be >= 1, got {dim}")
-    phases = np.empty((len(moduli), dim), dtype=np.float64)
-    for i, m in enumerate(moduli):
-        ks = rng.integers(1, m + 1, size=dim)
-        phases[i] = 2.0 * np.pi * ks / m
+    exponents = np.array([rng.integers(1, m + 1, size=dim) for m in moduli])
     tag = random_symbol(rng, dim)
-    return ResidueCodebook(moduli=moduli, dim=dim, phases=phases, tag=tag)
+    return ResidueCodebook(moduli=moduli, dim=dim, exponents=exponents, tag=tag)
 
 
 def encode_residue(cb: ResidueCodebook, x: int) -> np.ndarray:
@@ -242,10 +249,19 @@ RESONATOR_ACCEPT = 0.5
 
 
 def nearest_code(cb: ResidueCodebook, v: np.ndarray) -> tuple[int, float]:
-    """Scan every code: the best-matching integer and its similarity."""
-    sims = similarities(cb.candidates(), v)
-    x = int(np.argmax(sims))
-    return x, float(sims[x])
+    """The first best-matching integer of the range, and its similarity.
+
+    Element k of code(x) is exp(2j*pi*x*c_k/range) (``frequencies()``), so
+    the scores of all the codes are one length-range DFT of ``v`` binned
+    by c_k.  The similarity is ``fhrr.similarity`` of the reading's code
+    and ``v``, the kernel of the resonator's check.
+    """
+    r = cb.moduli.range
+    with cb._table(f"a length-{r} transform", r):
+        c = cb.frequencies()
+        binned = np.bincount(c, v.real, r) + 1j * np.bincount(c, v.imag, r)
+        x = int(np.argmax(np.fft.fft(binned).real))
+    return x, similarity(encode_residue(cb, x), v)
 
 
 def decode_residue(
@@ -253,14 +269,14 @@ def decode_residue(
 ) -> int:
     """Recover the integer whose code matches ``v``.
 
-    ``exhaustive`` scans every code in [0, range) and takes the argmax of
-    the similarity kernel.  ``resonator`` factorizes ``v`` against the
-    per-modulus codebooks and reassembles the residues via the CRT,
-    retrying from up to ``RESONATOR_RESTARTS`` reproducible random
-    starting mixtures.  Either way a reading is accepted only when the
-    similarity of its code to ``v`` (for ``exhaustive``, the best match
-    itself) reaches ``RESONATOR_ACCEPT``; otherwise ``DecodeError`` is
-    raised rather than an arbitrary integer returned.
+    ``exhaustive`` scores every code in [0, range) with one FFT and takes
+    the first best (``nearest_code``).  ``resonator`` factorizes ``v``
+    against the per-modulus codebooks and reassembles the residues via
+    the CRT, retrying from up to ``RESONATOR_RESTARTS`` reproducible
+    random starting mixtures.  Either way a reading is accepted only when
+    the similarity of its code to ``v`` reaches ``RESONATOR_ACCEPT``;
+    otherwise ``DecodeError`` is raised rather than an arbitrary integer
+    returned.
 
     A reading is a pure function of the codebook, ``method`` and the exact
     bytes of ``v`` (restarts draw from fixed seeds, never from a caller's

@@ -42,6 +42,26 @@ def crt_scan(residues: list[int], moduli: list[int]) -> int:
     raise ValueError("no solution; moduli not co-prime?")
 
 
+def code_table(phases: np.ndarray, total: int) -> np.ndarray:
+    """The (total, dim) table of every integer code of a phase table.
+
+    ``phases`` is (moduli, dim); row x is exp(1j * x * phases summed over
+    the moduli), the code of x built elementwise.
+    """
+    phase_sum = phases.sum(axis=0)
+    return np.array([np.exp(1j * (x * phase_sum)) for x in range(total)])
+
+
+def nearest_row(table: np.ndarray, v: np.ndarray) -> tuple[int, float]:
+    """First row of the best score Re(<row, v>) / dim, one row at a time."""
+    best, best_score = -1, -np.inf
+    for x, row in enumerate(table):
+        score = float(np.vdot(row, v).real / v.shape[0])
+        if score > best_score:
+            best, best_score = x, score
+    return best, best_score
+
+
 def nearest_product(s: np.ndarray, books: list[np.ndarray]) -> tuple[int, ...]:
     """Best factorization of s by scanning every atom combination.
 

@@ -207,6 +207,40 @@ def test_a_decode_table_too_large_to_allocate_exits_2(tmp_path, method):
     assert "Traceback" not in err
 
 
+#: three u32 moduli: a range of about 7.9e28, past int64, so neither the
+#: frequencies of the exhaustive transform nor its length fit an array
+_U32_MODULI = "4294967291,4294967279,4294967231"
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "resonator"])
+def test_a_range_past_int64_is_a_config_error(tmp_path, method):
+    script = tmp_path / "x.vl"
+    script.write_text("(+ 1 2)\n")
+    code, out, err = cli(
+        "--moduli", _U32_MODULI, "--decode", method, "run", str(script),
+        limit_memory=True,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR:config:")
+    assert _U32_MODULI in err
+    assert "Traceback" not in err
+
+
+def test_decode_at_a_range_past_int64_keeps_the_repl_alive():
+    code, out, err = cli(
+        "--moduli", _U32_MODULI, "repl",
+        stdin="(quote a)\n:decode\n(quote b)\n",
+        limit_memory=True,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "a"
+    assert lines[1].startswith("ERROR:config:")
+    assert "transform" in lines[1] and _U32_MODULI in lines[1]
+    assert lines[2] == "b"
+    assert "Traceback" not in err
+
+
 def test_a_dimension_too_large_to_allocate_exits_2(tmp_path):
     script = tmp_path / "x.vl"
     script.write_text("1\n")

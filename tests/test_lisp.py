@@ -1141,6 +1141,41 @@ def test_exhaustive_decode_config(session):
     assert list(s.eval_source("(+ 2 3)")) == ["5"]
 
 
+#: seven form shapes over operands a and b, with the integer each prints
+_FOUR_MODULI_SHAPES = (
+    ("{a}", lambda a, b: a),
+    ("(quote {a})", lambda a, b: a),
+    ("(+ {a} {b})", lambda a, b: a + b),
+    ("(- {a} {b})", lambda a, b: a - b),
+    ("(* {a} {s})", lambda a, b: a * (b % 7 + 2)),
+    ("(car (cons {a} {b}))", lambda a, b: a),
+    ("((lambda (y) (+ y {b})) {a})", lambda a, b: a + b),
+)
+
+
+def test_exhaustive_decoding_reads_every_form_at_four_moduli():
+    # R = 46,189: the one FFT scores every code without a code table, and
+    # chunk crosstalk misreads none of the 105 forms (the resonator
+    # misreads about four in ten of them)
+    moduli = (11, 13, 17, 19)
+    r = math.prod(moduli)
+    session = Session(Config(moduli=moduli, decode="exhaustive"))
+    rng = np.random.default_rng(11)
+    wrong = []
+    with _within(10):
+        for source, value in _FOUR_MODULI_SHAPES:
+            for _ in range(15):
+                a, b = (int(v) for v in rng.integers(-(r // 2), r // 2, size=2))
+                form = source.format(a=a, b=b, s=b % 7 + 2)
+                try:
+                    printed = list(session.eval_source(form))
+                except PhasorError as exc:
+                    printed = [f"{type(exc).__name__}: {exc}"]
+                if printed != [str(session.display_int(value(a, b) % r))]:
+                    wrong.append((form, printed))
+    assert wrong == []
+
+
 def test_save_restore_roundtrip(session, tmp_path):
     for form in parse_program(
         "(define square (lambda (x) (* x x)))"

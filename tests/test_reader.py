@@ -55,7 +55,7 @@ def test_parse_program_returns_all_forms():
 def test_unbalanced_open_reports_offset():
     with pytest.raises(ParseError) as e:
         parse_one("((")
-    assert "at offset 2" in str(e.value)
+    assert "at offset 1" in str(e.value)
     assert e.value.kind == "parse"
 
 
@@ -99,13 +99,13 @@ _DIGITS = "7" * 5000
 _PINNED = {
     "": (("unexpected end of input", 0), []),
     "  ; c\n": (("unexpected end of input", 6), []),
-    "(": (("unbalanced parenthesis", 1), ("unbalanced parenthesis", 1)),
-    "((": (("unbalanced parenthesis", 2), ("unbalanced parenthesis", 2)),
+    "(": (("unbalanced parenthesis", 0), ("unbalanced parenthesis", 0)),
+    "((": (("unbalanced parenthesis", 1), ("unbalanced parenthesis", 1)),
     ")": (("unexpected )", 0), ("unexpected )", 0)),
     "a )": (("trailing token ')'", 2), ("unexpected )", 2)),
     "(a))": (("trailing token ')'", 3), ("unexpected )", 3)),
     "(a) )": (("trailing token ')'", 4), ("unexpected )", 4)),
-    "(a) (b": (("trailing token '('", 4), ("unbalanced parenthesis", 6)),
+    "(a) (b": (("trailing token '('", 4), ("unbalanced parenthesis", 4)),
     "(a) b": (
         ("trailing token 'b'", 4),
         [ListExpr((Atom("a"),)), Atom("b")],
@@ -195,5 +195,14 @@ def test_a_dot_between_forms_is_a_parse_error_or_a_trailing_token():
 
 
 def test_an_unclosed_dotted_list_is_unbalanced():
-    assert _outcome(parse_program, "(a . b") == ("unbalanced parenthesis", 6)
+    # the innermost open paren, not the dot that heads the tail's frame
+    assert _outcome(parse_program, "(a . b") == ("unbalanced parenthesis", 0)
+
+
+@pytest.mark.parametrize(
+    "source, offset",
+    [("(a (b", 3), ("(a (b . c", 3), ("(a . (b", 5), ("(a) ((b) c", 4)],
+)
+def test_an_unclosed_list_reports_its_innermost_open_paren(source, offset):
+    assert _outcome(parse_program, source) == ("unbalanced parenthesis", offset)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from phasorlisp import (
     new_rng,
     random_symbol,
 )
+from phasorlisp.residue import nearest_code
 
-from oracles import crt_scan, inverse_mod, xgcd
+from oracles import code_table, crt_scan, inverse_mod, nearest_row, xgcd
 
 D = 512
 
@@ -156,12 +158,59 @@ def test_codes_computed_per_column_class_keep_the_elementwise_bytes(moduli, dim)
         x_used = x % r if abs(x) > r else x
         expected = np.exp(1j * (x_used * phase_sum))
         assert encode_residue(book, x).tobytes() == expected.tobytes(), x
-    codes = book.candidates()
+    # element k of code(x) is exp(2j*pi*x*c_k/range), as the FFT readout
+    # assumes, within the rounding of a phase up to about 2*pi*x*len(moduli)
+    c = book.frequencies()
+    assert c.dtype == np.int64 and 0 <= c.min() and c.max() < r
     for x in range(r):
-        assert codes[x].tobytes() == encode_residue(book, x).tobytes()
+        code = np.exp(2j * np.pi * x * c / r)
+        assert np.abs(code - encode_residue(book, x)).max() < 1e-10
     for i, (m, factor) in enumerate(zip(book.moduli, book.factor_codebooks())):
         atoms = np.exp(1j * np.outer(np.arange(m), book.phases[i]))
         assert factor.atoms.tobytes() == atoms.tobytes()
+
+
+# -- the exhaustive readout --------------------------------------------
+
+
+def _probes(book, rng):
+    """Clean codes, codes plus 2 to 4 random phasors, and random vectors."""
+    r, dim = book.moduli.range, book.dim
+    xs = [0, 1, r - 1, *rng.integers(0, r, size=5)]
+    for x in xs:
+        yield encode_residue(book, int(x))
+    for x, k in zip(xs, [2, 3, 4] * 3):
+        yield encode_residue(book, int(x)) + sum(
+            random_symbol(rng, dim) for _ in range(k)
+        )
+    for _ in range(6):
+        yield random_symbol(rng, dim)
+
+
+@pytest.mark.parametrize("dim", [1000, 256])
+@pytest.mark.parametrize("moduli", [(3, 5, 7), (7, 11, 13)])
+def test_nearest_code_is_the_first_best_row_of_a_code_table(moduli, dim):
+    book = make_codebook(ModuliSet(moduli), dim, new_rng(42))
+    table = code_table(book.phases, book.moduli.range)
+    for v in _probes(book, np.random.default_rng(dim)):
+        x, score = nearest_row(table, v)
+        got, confidence = nearest_code(book, v)
+        assert got == x
+        assert confidence == pytest.approx(score, abs=1e-12)
+
+
+def test_nearest_code_at_four_moduli_builds_no_code_table():
+    # R = 46,189: a code table would hold 739 MB at dim 1000
+    book = make_codebook(ModuliSet((11, 13, 17, 19)), 1000, new_rng(42))
+    v = encode_residue(book, 12345) + random_symbol(new_rng(1), 1000)
+    tracemalloc.start()
+    try:
+        x, confidence = nearest_code(book, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x == 12345 and confidence > 0.5
+    assert peak < 16 << 20
 
 
 # -- the decode memo ---------------------------------------------------

@@ -200,7 +200,7 @@ def _run(cls, sources, check, after_form=None, config=None):
     printed = _transcript(session, sources, after_form)
     buf = io.BytesIO()
     session.save(buf)
-    restored = cls.restore(io.BytesIO(buf.getvalue()))
+    restored = cls.restore(io.BytesIO(buf.getvalue()), config)
     return printed, buf.getvalue(), _transcript(restored, [check])
 
 
@@ -326,6 +326,20 @@ def test_a_session_restored_halfway_prints_and_saves_what_an_unsaved_one_does(
     restored.save(buf)
     assert split == printed
     assert buf.getvalue() == saved
+
+
+@pytest.mark.parametrize("dim", [1000, 256, 128])
+@pytest.mark.parametrize("workload", ["programs", "lists", "repl"])
+def test_exhaustive_decoding_prints_and_saves_what_the_default_does(workload, dim):
+    # Both readouts take the same integer, and a reading changes no vector,
+    # so the transcripts, the saved bytes and the restored check agree.
+    sources, check = _plan_sources(workload)
+    if dim == 1000:
+        expected = _reference(sources, check)[0]
+    else:
+        expected = _run(Session, sources, check, config=Config(dim=dim))
+    config = Config(dim=dim, decode="exhaustive")
+    assert _run(Session, sources, check, config=config) == expected
 
 
 def test_repeated_spines_keep_repl_recalls_down():
