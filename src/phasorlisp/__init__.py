@@ -7,138 +7,26 @@ role-filler chunks, and a small Lisp evaluated entirely over vectors.
 A benchmark module compares addition cost against nested-list numerals.
 """
 
-from .bench import (
-    BenchResult,
-    flatness_ratio,
-    growth_exponent,
-    list_add,
-    list_decode,
-    list_encode,
-    run_benchmark,
-    write_csv,
-    write_plot_data,
-)
-from .errors import (
-    ArityError,
-    ConfigError,
-    DanglingPointerError,
-    DecodeError,
-    DimensionError,
-    EvalError,
-    InvalidModuliError,
-    LispTypeError,
-    MemoryEmptyError,
-    NoInverseError,
-    NoMatchError,
-    NotApplicableError,
-    ParseError,
-    PhasorError,
-    RecursionDepthError,
-    SessionIOError,
-    UnboundSymbolError,
-)
-from .fhrr import (
-    bind,
-    identity,
-    new_rng,
-    normalize,
-    phase_angles,
-    random_symbol,
-    similarity,
-    superpose,
-    unbind,
-)
-from .lisp import Config, Resolved, Session
-from .memory import CleanupMemory, Environment, RecallResult
-from .reader import (
-    Atom,
-    IntLiteral,
-    ListExpr,
-    SExpr,
-    Token,
-    parse_one,
-    parse_program,
-    tokenize,
-)
-from .residue import (
-    ModuliSet,
-    ResidueCodebook,
-    add_bind,
-    crt_reconstruct,
-    decode_residue,
-    encode_residue,
-    make_codebook,
-    mod_inverse,
-    mul_bind,
-    negate,
-)
-from .resonator import FactorCodebook, ResonatorState, cleanup, factorize
+from . import bench, errors, fhrr, lisp, memory, reader, residue, resonator
+
+# Each module's ``__all__`` is the one list of its public names; the
+# package republishes them all.
+from .bench import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .fhrr import *  # noqa: F401,F403
+from .lisp import *  # noqa: F401,F403
+from .memory import *  # noqa: F401,F403
+from .reader import *  # noqa: F401,F403
+from .residue import *  # noqa: F401,F403
+from .resonator import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Config",
-    "Session",
-    "Resolved",
-    "CleanupMemory",
-    "Environment",
-    "RecallResult",
-    "ModuliSet",
-    "ResidueCodebook",
-    "FactorCodebook",
-    "ResonatorState",
-    "BenchResult",
-    "SExpr",
-    "Atom",
-    "IntLiteral",
-    "ListExpr",
-    "Token",
-    "parse_one",
-    "parse_program",
-    "tokenize",
-    "bind",
-    "unbind",
-    "superpose",
-    "normalize",
-    "similarity",
-    "random_symbol",
-    "identity",
-    "phase_angles",
-    "new_rng",
-    "make_codebook",
-    "encode_residue",
-    "decode_residue",
-    "add_bind",
-    "mul_bind",
-    "negate",
-    "mod_inverse",
-    "crt_reconstruct",
-    "cleanup",
-    "factorize",
-    "list_encode",
-    "list_decode",
-    "list_add",
-    "run_benchmark",
-    "write_csv",
-    "write_plot_data",
-    "growth_exponent",
-    "flatness_ratio",
-    "PhasorError",
-    "DimensionError",
-    "InvalidModuliError",
-    "DecodeError",
-    "NoInverseError",
-    "MemoryEmptyError",
-    "NoMatchError",
-    "DanglingPointerError",
-    "ParseError",
-    "EvalError",
-    "UnboundSymbolError",
-    "NotApplicableError",
-    "ArityError",
-    "LispTypeError",
-    "RecursionDepthError",
-    "ConfigError",
-    "SessionIOError",
+    *(
+        name
+        for module in (bench, errors, fhrr, lisp, memory, reader, residue, resonator)
+        for name in module.__all__
+    ),
 ]

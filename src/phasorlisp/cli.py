@@ -1,9 +1,11 @@
 """Command-line entry point: REPL, script runner, benchmark driver.
 
 Exit codes: 0 success, 1 runtime error, 2 missing file or bad
-configuration, 3 syntax error.  Fatal errors print one line to stderr
-with an ERROR:<kind>: prefix.  Given the same seed and script, stdout is
-byte-identical across runs.
+configuration, 3 syntax error.  Each error class carries its own code as
+``exit_code`` next to its ``kind`` (see ``errors``), and ``main`` returns
+it; an ``OSError`` is kind ``io``, exit 2.  Fatal errors print one line
+to stderr with an ERROR:<kind>: prefix.  Given the same seed and script,
+stdout is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -20,13 +22,8 @@ from .bench import (
     write_csv,
     write_plot_data,
 )
-from .errors import (
-    ConfigError,
-    InvalidModuliError,
-    ParseError,
-    PhasorError,
-    SessionIOError,
-)
+from .errors import ConfigError, EvalError, NoMatchError, PhasorError, SessionIOError
+from .fhrr import similarity
 from .lisp import Config, Session
 from .reader import parse_program
 from .residue import DECODE_METHODS
@@ -147,25 +144,20 @@ def _meta_command(session: Session, line: str, last) -> None:
         return
     if parts[0] == ":sim":
         if len(parts) != 3:
-            print("ERROR:eval: usage: :sim <name> <name>")
-            return
-        from .fhrr import similarity
-
+            raise EvalError("usage: :sim <name> <name>")
         missing = [p for p in parts[1:] if p not in session.memory]
         if missing:
-            print(f"ERROR:no-match: unknown symbol {missing[0]!r}")
-            return
+            raise NoMatchError(f"unknown symbol {missing[0]!r}")
         s = similarity(session.memory.vector(parts[1]), session.memory.vector(parts[2]))
         print(f"{s:.4f}")
         return
     if parts[0] == ":decode":
         if last is None:
-            print("ERROR:eval: nothing evaluated yet")
-            return
+            raise EvalError("nothing evaluated yet")
         x, conf = session.force_decode(last)
         print(f"{session.display_int(x)} raw={x} confidence={conf:.4f}")
         return
-    print(f"ERROR:eval: unknown meta-command {parts[0]}")
+    raise EvalError(f"unknown meta-command {parts[0]}")
 
 
 def repl(session: Session, args: argparse.Namespace) -> int:
@@ -239,18 +231,12 @@ def main(argv: list[str] | None = None) -> int:
         if command == "repl":
             return repl(session, args)
         return run_script(session, args)
-    except ParseError as exc:
+    except PhasorError as exc:
         print(f"ERROR:{exc.kind}: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, InvalidModuliError, SessionIOError) as exc:
-        print(f"ERROR:{exc.kind}: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:
         print(f"ERROR:io: {exc}", file=sys.stderr)
         return 2
-    except PhasorError as exc:
-        print(f"ERROR:{exc.kind}: {exc}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

@@ -1,14 +1,36 @@
 """Exception hierarchy shared across the package.
 
-Every error carries a short machine-readable ``kind`` tag; the CLI prints
-failures as ``ERROR:<kind>: message`` and maps kinds to exit codes.
+Each class states the error contract once: a short machine-readable
+``kind`` tag and the ``exit_code`` the CLI returns when the error ends a
+run.  The CLI prints every failure as ``ERROR:<kind>: message``.
 """
+
+__all__ = [
+    "PhasorError",
+    "DimensionError",
+    "InvalidModuliError",
+    "DecodeError",
+    "NoInverseError",
+    "MemoryEmptyError",
+    "NoMatchError",
+    "DanglingPointerError",
+    "ParseError",
+    "EvalError",
+    "UnboundSymbolError",
+    "NotApplicableError",
+    "ArityError",
+    "LispTypeError",
+    "RecursionDepthError",
+    "ConfigError",
+    "SessionIOError",
+]
 
 
 class PhasorError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: a runtime error, exit 1."""
 
     kind = "error"
+    exit_code = 1
 
 
 class DimensionError(PhasorError):
@@ -22,6 +44,7 @@ class InvalidModuliError(PhasorError):
     """Moduli are not pairwise co-prime or are below 2."""
 
     kind = "moduli"
+    exit_code = 2
 
 
 class DecodeError(PhasorError):
@@ -58,6 +81,7 @@ class ParseError(PhasorError):
     """Malformed source text; ``position`` is a character offset."""
 
     kind = "parse"
+    exit_code = 3
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at offset {position}")
@@ -96,9 +120,11 @@ class ConfigError(PhasorError):
     """Invalid configuration value."""
 
     kind = "config"
+    exit_code = 2
 
 
 class SessionIOError(PhasorError):
     """A session file or script is missing or malformed."""
 
     kind = "io"
+    exit_code = 2

@@ -92,7 +92,7 @@ _SPINE = "code"
 _MAGIC = b"RHC2"
 
 #: Kinds of the memory rows a session file names by stream position.
-_ROW_KINDS = ("symbol", "pointer", "role", "env")
+_ROW_KINDS = ("symbol", "pointer", "env")
 
 #: Slack of ``_MODULUS_BOUND`` for float64 rounding: a drawn row's
 #: components lie within a few ulps of modulus 1.
@@ -334,7 +334,7 @@ class Session:
         self._values: dict[bytes, tuple[Resolved, int]] = {}
 
     def _bootstrap(self) -> None:
-        self.memory.add(_INT_NAME, self.codebook.tag)
+        self.memory.add(_INT_NAME, self.codebook.tag, kind="role")
         for name, kind in _DRAWN:
             self._mint(name, kind)
         self.global_env = self.environments[_GLOBAL] = Environment()
@@ -387,11 +387,9 @@ class Session:
         The name of a pointer, scope handle or role is reserved: a program
         that names one would forge a reference to it.  That includes a
         spine cell ``code-<n>`` once a form has stored it, as it does a
-        ``cell-<n>``.  So is ``int``, the entry that stores the integer
+        ``cell-<n>``, and ``int``, the role entry that stores the integer
         type tag.
         """
-        if name == _INT_NAME:
-            raise EvalError(f"{name!r} names the integer type tag, not a symbol")
         if name not in self.memory:
             self._mint(name, "symbol")
         elif self.memory.kind(name) != "symbol":
@@ -924,9 +922,9 @@ class Session:
         ``RHC2``; u32 dim, u32 modulus count, a u32 per modulus, u64 seed,
         u64 draw counter and u32 entry count; then per entry a u32 length,
         a UTF-8 name ``<kind>:<rest>`` and a payload its kind fixes: a u64
-        position for a ``symbol:``, ``pointer:``, ``role:`` or ``env:``
-        row, interleaved re/im float64 for a ``chunk:`` or ``bind:``
-        vector, nothing for a ``parent:`` link.  First come the rows past
+        position for a ``symbol:``, ``pointer:`` or ``env:`` row,
+        interleaved re/im float64 for a ``chunk:`` or ``bind:`` vector,
+        nothing for a ``parent:`` link.  First come the rows past
         the 12 bootstrap entries, which the key makes, in memory order and
         spine cells included; then every pointer's chunk; then each scope's
         parent link and bindings.

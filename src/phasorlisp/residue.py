@@ -185,14 +185,18 @@ class ResidueCodebook:
 
     @contextmanager
     def _table(self, what: str, entries: int) -> Iterator[None]:
-        """Report a decode table of ``entries`` phasors as a ``ConfigError``
-        when it cannot be built: out of memory, or a size past an array's."""
+        """Report a decode table or transform of ``entries`` phasors as a
+        ``ConfigError`` when it cannot be built: out of memory, or a size
+        past an array's.  The size stated, the phasors' own bytes, is a
+        lower bound: numpy's FFT of a length with a large prime factor
+        can take several times its input."""
         try:
             yield
         except (MemoryError, OverflowError, ValueError):
             raise ConfigError(
                 f"moduli {','.join(map(str, self.moduli))} at dim {self.dim} need "
-                f"{what} ({16 * entries / 2**30:.3g} GiB), more than memory allows"
+                f"{what} (at least {16 * entries / 2**30:.3g} GiB), "
+                "more than memory allows"
             ) from None
 
 

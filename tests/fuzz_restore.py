@@ -48,7 +48,7 @@ SOURCE = (
 FORMS = ("xs", "(sq 3)", "(add3 4)")
 
 #: entry kinds whose payload is a u64 stream position, and a vector
-ROWS = ("symbol", "pointer", "role", "env")
+ROWS = ("symbol", "pointer", "env")
 VECTORS = ("chunk", "bind")
 
 

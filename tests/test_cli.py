@@ -61,6 +61,7 @@ def test_repl_env_lists_interned_symbols():
     names = out.splitlines()
     assert "x" in names
     assert "nil" in names
+    assert "int" not in names
 
 
 def test_repl_decode_reports_the_last_value():
@@ -237,6 +238,8 @@ def test_decode_at_a_range_past_int64_keeps_the_repl_alive():
     assert lines[0] == "a"
     assert lines[1].startswith("ERROR:config:")
     assert "transform" in lines[1] and _U32_MODULI in lines[1]
+    # the bytes of the transform's input, a lower bound on what it takes
+    assert "(at least " in lines[1] and " GiB)" in lines[1]
     assert lines[2] == "b"
     assert "Traceback" not in err
 

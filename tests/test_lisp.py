@@ -799,7 +799,7 @@ def test_a_literal_beyond_the_range_reads_as_its_residue(session, source, printe
     ],
 )
 def test_a_program_cannot_name_the_integer_tag(session, source):
-    with pytest.raises(EvalError, match="'int' names the integer type tag"):
+    with pytest.raises(EvalError, match="'int' names an internal entry"):
         session.eval_expr(parse_one(source))
 
 
@@ -1286,6 +1286,19 @@ def test_save_restore_save_is_byte_identical(session):
     second = io.BytesIO()
     Session.restore(io.BytesIO(first.getvalue())).save(second)
     assert second.getvalue() == first.getvalue()
+
+
+def test_restore_rejects_a_role_row_that_save_never_writes(session):
+    # every role is a bootstrap entry, which the key makes
+    run(session, "(quote zz)")
+    buf = io.BytesIO()
+    session.save(buf)
+    data = buf.getvalue()
+    assert data.count(b"symbol:zz") == 1
+    # a name of the same length, so the entry's length prefix still holds
+    data = data.replace(b"symbol:zz", b"role:zzzz")
+    with pytest.raises(SessionIOError, match="unknown session entry 'role:zzzz'"):
+        Session.restore(io.BytesIO(data))
 
 
 def test_restore_rejects_a_reference_to_a_missing_scope(session):
